@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json flame trace-sample audit-smoke incident-smoke check
+.PHONY: all build vet staticcheck test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json flame trace-sample audit-smoke incident-smoke check
 
 all: check
 
@@ -26,6 +26,14 @@ staticcheck:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# fuzz-smoke runs each fuzz target for a few seconds past its checked-in
+# seed corpus: the Block wire codec against the legacy codec, and journal
+# replay (never panics; keeps a whole-record prefix or names the corrupt
+# offset). A failing input lands in the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/events/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/eventstore/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -137,7 +145,8 @@ trace-sample:
 
 # check is the pre-PR gate: everything must build, vet (and staticcheck,
 # where installed) clean, pass the full suite under the race detector,
-# hold the tracing-overhead and mount-routing benches, keep the cluster
+# survive a short fuzz of the wire codec and journal replay, hold the
+# tracing-overhead and mount-routing benches, keep the cluster
 # delivery-conservation audit balanced, and prove the incident flight
 # recorder captures an injected stall.
-check: build vet staticcheck race bench-trace bench-mount audit-smoke incident-smoke
+check: build vet staticcheck race fuzz-smoke bench-trace bench-mount audit-smoke incident-smoke

@@ -172,7 +172,12 @@ func WithStoreBound(n int) Option {
 	return func(o *core.Options) { o.Store.MaxEvents = n }
 }
 
-// WithJournal persists the event store to a JSONL journal at path.
+// WithJournal persists the event store to a journal at path: a log of
+// length-prefixed, CRC32C-checked binary records (event batches in the
+// Block wire encoding, and reported marks). On restart a torn final
+// record is truncated and counted (Stats.TornTails); a damaged record
+// anywhere else, or a JSONL journal from an earlier release, fails the
+// open instead of being skipped.
 func WithJournal(path string) Option {
 	return func(o *core.Options) { o.Store.JournalPath = path }
 }

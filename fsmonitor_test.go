@@ -154,7 +154,7 @@ func TestTransformFormats(t *testing.T) {
 
 func TestEventsSinceAcrossRestartViaJournal(t *testing.T) {
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "events.jsonl")
+	journal := filepath.Join(dir, "events.journal")
 	fs := fsmonitor.NewSimFS()
 	if err := fs.Mkdir("/d"); err != nil {
 		t.Fatal(err)

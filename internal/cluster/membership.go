@@ -175,6 +175,12 @@ type Membership struct {
 	stopOnce sync.Once
 	stopped  chan struct{}
 	wg       sync.WaitGroup
+
+	// hellos tracks in-flight hello sends, so stopping aborts and awaits
+	// them: a hello landing after our leave would revive us on the peer.
+	hmu     sync.Mutex
+	hellos  map[*msgq.Push]struct{}
+	helloWG sync.WaitGroup
 }
 
 // NewMembership creates an unstarted membership participant. The ctl
@@ -263,11 +269,29 @@ func (m *Membership) hello(ctlAddr string) {
 		m.opts.Logger.Warn("bad ctl endpoint", "ctl", ctlAddr, "err", err)
 		return
 	}
+	m.hmu.Lock()
+	select {
+	case <-m.stopped:
+		m.hmu.Unlock()
+		push.Close()
+		return
+	default:
+	}
+	if m.hellos == nil {
+		m.hellos = make(map[*msgq.Push]struct{})
+	}
+	m.hellos[push] = struct{}{}
+	m.helloWG.Add(1)
+	m.hmu.Unlock()
 	go func() {
+		defer m.helloWG.Done()
 		t := time.AfterFunc(helloTimeout, push.Close)
 		defer t.Stop()
 		defer push.Close()
 		_ = push.Send(msgq.Message{Topic: "cluster.hello", Payload: payload})
+		m.hmu.Lock()
+		delete(m.hellos, push)
+		m.hmu.Unlock()
 	}()
 }
 
@@ -384,6 +408,7 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 	if !ValidID(info.ID) || info.Endpoint == "" {
 		return
 	}
+	seen := time.Now()
 	m.mu.Lock()
 	if epoch > m.maxSeen {
 		m.maxSeen = epoch
@@ -424,12 +449,24 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 	// Hear the new peer's broadcasts BEFORE it becomes countable in the
 	// view: a WaitMembers return implies the links to every counted peer
 	// exist, so a broadcast sent right after (e.g. an immediate leave)
-	// cannot be lost to a still-connecting subscription.
+	// cannot be lost to a still-connecting subscription. Connect only
+	// starts the link, so wait for it when the peer spoke to us itself
+	// (it is up); a peer known only from gossip may be gone, and waiting
+	// on it would stall this loop.
 	_ = m.sub.Connect(info.Endpoint)
+	if direct {
+		_ = m.sub.WaitEndpointReady(info.Endpoint, m.opts.FailAfter)
+	}
 	m.mu.Lock()
 	if _, raced := m.peers[info.ID]; raced {
 		// A concurrent observe (ctl and sub loops race) registered it
 		// while we were connecting; Connect is idempotent, nothing to do.
+		m.mu.Unlock()
+		return
+	}
+	if died, entombed := m.dead[info.ID]; entombed && died.After(seen) {
+		// The other loop registered and then dropped it (a leave) while
+		// we were connecting: this sighting predates the departure.
 		m.mu.Unlock()
 		return
 	}
@@ -795,21 +832,29 @@ func (m *Membership) WaitMembers(n int, timeout time.Duration) error {
 // Close leaves gracefully: a leave broadcast lets peers reassign without
 // waiting out the failure detector.
 func (m *Membership) Close() {
+	// Stop the loops first: a hello or heartbeat sent after the leave
+	// would read as the member talking again and bring it back.
+	m.Kill()
 	if !m.opts.Observer && m.opts.Pub != nil {
 		if payload, err := json.Marshal(ctrlMsg{Kind: "leave", From: m.opts.Self, Epoch: m.epochNow()}); err == nil {
 			m.opts.Pub.Publish(MembershipTopic, payload)
 		}
 	}
-	m.Kill()
 }
 
 // Kill stops the participant without a leave broadcast — the crash path
 // (tests use it to exercise the failure detector and handoff).
 func (m *Membership) Kill() {
 	m.stopOnce.Do(func() {
+		m.hmu.Lock()
 		close(m.stopped)
+		for push := range m.hellos {
+			push.Close()
+		}
+		m.hmu.Unlock()
 		m.ctl.Close()
 		m.sub.Close()
 		m.wg.Wait()
+		m.helloWG.Wait()
 	})
 }

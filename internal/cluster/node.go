@@ -141,6 +141,7 @@ type Node struct {
 	prev    Assignment             // the previously applied map (previous owners for fencing)
 	applied uint64                 // highest assignment epoch applied to the store set
 	boot    bool                   // first assignment applied (its acquisitions are not handoffs)
+	openErr error                  // first failure to open an acquired partition's store
 
 	received  atomic.Uint64
 	stored    atomic.Uint64
@@ -205,13 +206,13 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		snapshot = n.telemetryFrame
 	}
 	mem, err := NewMembership(MembershipOptions{
-		Self:      MemberInfo{ID: opts.ID, Endpoint: AdvertiseEndpoint(pub.Addr(), opts.Advertise), Ctl: opts.Ctl},
-		Pub:       pub,
-		Join:      opts.Join,
-		Parts:     opts.Parts,
-		Interval:  opts.HeartbeatInterval,
-		FailAfter: opts.FailAfter,
-		Advertise: opts.Advertise,
+		Self:              MemberInfo{ID: opts.ID, Endpoint: AdvertiseEndpoint(pub.Addr(), opts.Advertise), Ctl: opts.Ctl},
+		Pub:               pub,
+		Join:              opts.Join,
+		Parts:             opts.Parts,
+		Interval:          opts.HeartbeatInterval,
+		FailAfter:         opts.FailAfter,
+		Advertise:         opts.Advertise,
 		OnChange:          n.applyAssignment,
 		OnPeer:            func(p MemberInfo) { _ = n.sub.Connect(p.Endpoint) },
 		OnRelease:         n.onRelease,
@@ -441,6 +442,9 @@ func (n *Node) openPartitionLocked(p int, epoch uint64) {
 	st, err := eventstore.OpenPartitionStore(n.opts.Parts, p, n.opts.Store)
 	if err != nil {
 		n.slog.Error("opening acquired partition", "partition", p, "err", err)
+		if n.openErr == nil {
+			n.openErr = fmt.Errorf("cluster: node %s: open partition %d: %w", n.opts.ID, p, err)
+		}
 		return
 	}
 	st.SetAudit(n.aud, p)
@@ -649,6 +653,16 @@ func (n *Node) OwnedPartitions() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// OpenError returns the first error the node hit opening the store of a
+// partition it was assigned (nil when every open succeeded). Such a
+// partition stays unowned, so a deployment waiting for full coverage
+// reports this instead of timing out.
+func (n *Node) OpenError() error {
+	n.smu.Lock()
+	defer n.smu.Unlock()
+	return n.openErr
 }
 
 // Snapshot is one atomic capture of the node's owned store set. The

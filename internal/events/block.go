@@ -482,23 +482,39 @@ func DecodeBlock(payload []byte) (*Block, error) {
 // accepted input grammar is exactly UnmarshalBatchTraced's, including its
 // trailing-bytes check.
 func DecodeBlockInto(b *Block, payload []byte) error {
+	n, err := DecodeBlockPrefix(b, payload)
+	if err != nil {
+		return err
+	}
+	if n != len(payload) {
+		return fmt.Errorf("events: %d trailing bytes after batch", len(payload)-n)
+	}
+	return nil
+}
+
+// DecodeBlockPrefix decodes the wire batch at the front of payload into b
+// and returns its encoded length; bytes after it are ignored. The batch
+// is self-delimiting, so this is how a reader finds where a batch ends
+// when the framing around it cannot be trusted. Aliasing is as for
+// DecodeBlockInto, over payload[:n].
+func DecodeBlockPrefix(b *Block, payload []byte) (int, error) {
 	b.Reset()
 	if len(payload) < 4 {
-		return fmt.Errorf("events: short buffer decoding batch count")
+		return 0, fmt.Errorf("events: short buffer decoding batch count")
 	}
 	header := binary.LittleEndian.Uint32(payload)
 	pos := 4
 	n := header &^ batchFlags
 	if header&batchStamped != 0 {
 		if len(payload) < pos+8 {
-			return fmt.Errorf("events: short buffer decoding batch stamp")
+			return 0, fmt.Errorf("events: short buffer decoding batch stamp")
 		}
 		b.stamp = int64(binary.LittleEndian.Uint64(payload[pos:]))
 		pos += 8
 	}
 	if header&batchTraced != 0 {
 		if len(payload) < pos+9 {
-			return fmt.Errorf("events: short buffer decoding batch trace")
+			return 0, fmt.Errorf("events: short buffer decoding batch trace")
 		}
 		tr := &BatchTrace{ID: binary.LittleEndian.Uint64(payload[pos:])}
 		nspans := int(payload[pos+8])
@@ -506,13 +522,13 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 		tr.Spans = make([]Span, nspans)
 		for i := range tr.Spans {
 			if len(payload) < pos+10 {
-				return fmt.Errorf("events: short buffer decoding %d trace spans", nspans)
+				return 0, fmt.Errorf("events: short buffer decoding %d trace spans", nspans)
 			}
 			sp := Span{Tier: payload[pos], TS: int64(binary.LittleEndian.Uint64(payload[pos+1:]))}
 			nl := int(payload[pos+9])
 			pos += 10
 			if len(payload) < pos+nl {
-				return fmt.Errorf("events: short buffer decoding trace span node")
+				return 0, fmt.Errorf("events: short buffer decoding trace span node")
 			}
 			sp.Node = string(payload[pos : pos+nl])
 			pos += nl
@@ -522,7 +538,7 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 	}
 	for i := uint32(0); i < n; i++ {
 		if len(payload)-pos < 24 {
-			return fmt.Errorf("events: batch entry %d: short buffer (%d bytes) decoding header", i, len(payload)-pos)
+			return 0, fmt.Errorf("events: batch entry %d: short buffer (%d bytes) decoding header", i, len(payload)-pos)
 		}
 		b.ops = append(b.ops, Op(binary.LittleEndian.Uint32(payload[pos:])))
 		b.cookies = append(b.cookies, binary.LittleEndian.Uint32(payload[pos+4:]))
@@ -563,16 +579,13 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 			ok = false
 		}
 		if !ok {
-			return fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
+			return 0, fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
 		}
 		b.spans = append(b.spans, fs)
 	}
-	if pos != len(payload) {
-		return fmt.Errorf("events: %d trailing bytes after batch", len(payload)-pos)
-	}
-	b.arena = payload
+	b.arena = payload[:pos]
 	b.ownArena = false
-	b.wire = payload
+	b.wire = payload[:pos]
 	b.ownWire = false
-	return nil
+	return pos, nil
 }

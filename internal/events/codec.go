@@ -18,8 +18,9 @@ import (
 // stamp is the monitor's capture timestamp for the whole batch: all
 // events of one Changelog read share the moment the monitor first saw
 // them, so latency tracing is batch metadata, not a per-event field. It
-// rides the wire (surviving the aggregator's no-decode forwarding) but is
-// not part of the journal format, and it is present only when the
+// rides the wire (surviving the aggregator's no-decode forwarding, and
+// into the journal records a store writes from a block's wire image; a
+// replayed store ignores it), and it is present only when the
 // batchStamped bit is set in the count word — untraced deployments (the
 // default) are byte-identical to a build without tracing.
 //
@@ -123,6 +124,24 @@ func readStr16(buf []byte) (string, []byte, error) {
 // each event.
 func MarshalBatch(evs []Event) ([]byte, error) {
 	return MarshalBatchStamped(evs, 0)
+}
+
+// AppendBatch appends MarshalBatch(evs) to buf without allocating a
+// fresh buffer, for callers that encode into a reused one. On error buf
+// is returned unextended.
+func AppendBatch(buf []byte, evs []Event) ([]byte, error) {
+	if uint64(len(evs)) >= uint64(batchTraced) {
+		return buf, fmt.Errorf("events: batch of %d events exceeds wire limit", len(evs))
+	}
+	start := len(buf)
+	out := binary.LittleEndian.AppendUint32(buf, uint32(len(evs)))
+	var err error
+	for _, e := range evs {
+		if out, err = MarshalAppend(out, e); err != nil {
+			return buf[:start], err
+		}
+	}
+	return out, nil
 }
 
 // MarshalBatchStamped encodes a batch with its capture stamp (unix

@@ -2,6 +2,7 @@ package eventstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,7 +39,7 @@ func TestAppendBlockMatchesAppendBatch(t *testing.T) {
 	dir := t.TempDir()
 	evs := sampleEvents(10)
 
-	batchPath := filepath.Join(dir, "batch.jsonl")
+	batchPath := filepath.Join(dir, "batch.journal")
 	sb, err := New(Options{JournalPath: batchPath, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func TestAppendBlockMatchesAppendBatch(t *testing.T) {
 	}
 	sb.Close()
 
-	blockPath := filepath.Join(dir, "block.jsonl")
+	blockPath := filepath.Join(dir, "block.journal")
 	sk, err := New(Options{JournalPath: blockPath, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +75,13 @@ func TestAppendBlockMatchesAppendBatch(t *testing.T) {
 	jb, _ := os.ReadFile(blockPath)
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("journals differ:\nbatch: %s\nblock: %s", ja, jb)
+	}
+	// Both wrote one event record, and its body is the block's wire image
+	// after sequence assignment — the bytes a republish of it sends.
+	if len(jb) < frameHeaderLen || jb[8] != kindEvents ||
+		int(binary.LittleEndian.Uint32(jb)) != len(jb)-frameHeaderLen ||
+		!bytes.Equal(jb[frameHeaderLen:], blk.Wire()) {
+		t.Fatalf("journal is not one event record carrying blk.Wire(): %x", jb)
 	}
 
 	// And the block journal recovers.
@@ -101,7 +109,7 @@ func TestAppendBlockMatchesAppendBatch(t *testing.T) {
 // reaches SyncEvery, not once each shard individually accumulates it.
 func TestShardedGroupFlushWindow(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "j.jsonl")
+	base := filepath.Join(dir, "j.journal")
 	eng, err := NewSharded(4, Options{JournalPath: base, Sync: SyncEveryN, SyncEvery: 8})
 	if err != nil {
 		t.Fatal(err)

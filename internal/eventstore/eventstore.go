@@ -8,12 +8,15 @@
 // The store assigns each event a monotonically increasing sequence number,
 // serves "events since ID" queries for consumer fault recovery, tracks the
 // reported flag, and bounds its size by purging reported events. An
-// optional JSONL journal provides durability across process restarts.
+// optional journal provides durability across process restarts: a log of
+// length-prefixed, CRC32C-checked records whose event batches are the
+// Block wire encoding the aggregation tier already sends, so a batch is
+// encoded once for the wire and the disk (see journal.go for the record
+// layout and the torn-tail versus corruption rule).
 package eventstore
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -73,8 +76,11 @@ type Options struct {
 	// discarded anyway and counted as Evicted (the paper sizes the
 	// database "depending on the resources available to FSMonitor").
 	MaxEvents int
-	// JournalPath, if non-empty, appends every stored event to a JSONL
-	// file so a restarted monitor can reload history with Open.
+	// JournalPath, if non-empty, appends every stored event and reported
+	// mark to a checksummed binary journal at this path, so a restarted
+	// monitor can reload history with Open. Open truncates a torn final
+	// record, fails on mid-file corruption, and refuses a JSONL journal
+	// written by earlier releases.
 	JournalPath string
 	// Sync selects when journal writes reach the OS (see SyncPolicy).
 	Sync SyncPolicy
@@ -110,13 +116,14 @@ type Store struct {
 
 	pendingSync               int // events buffered since the last flush (SyncEveryN)
 	appended, purged, evicted uint64
+	tornTails                 uint64 // torn final records Open truncated
 
 	// group, when non-nil, replaces the store's own SyncEveryN window
 	// with a window shared across the shards of one Sharded engine.
 	// Only buildSharded sets it.
 	group *flushGroup
-	// scratch is the reusable buffer block appends marshal journal lines
-	// into, so the whole batch reaches the writer as one vectored write.
+	// scratch is the reusable buffer journal records are encoded into,
+	// so a batch reaches the writer as one frame without allocating.
 	scratch []byte
 
 	tel storeTel // nil handles when telemetry is off — every call is a no-op
@@ -148,7 +155,10 @@ func New(opts Options) (*Store, error) {
 }
 
 // Open recovers a store from an existing journal, then continues appending
-// to it. Events flagged reported in the journal stay flagged.
+// to it. Events flagged reported in the journal stay flagged. A torn final
+// record is truncated from the file and counted in Stats.TornTails; a
+// damaged record anywhere else fails with ErrCorruptJournal, and a JSONL
+// journal from an earlier release with ErrLegacyJournal.
 func Open(opts Options) (*Store, error) {
 	if opts.JournalPath == "" {
 		return nil, errors.New("eventstore: Open requires a JournalPath")
@@ -160,41 +170,18 @@ func Open(opts Options) (*Store, error) {
 		}
 		return nil, err
 	}
-	type entry struct {
-		Kind string     `json:"kind"`
-		Ev   *wireEvent `json:"ev,omitempty"`
-		Seq  uint64     `json:"seq,omitempty"`
-	}
 	opts.normalize()
 	s := &Store{opts: opts, reported: make(map[uint64]bool), nextSeq: opts.seqOffset + opts.seqStride}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var e entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue // tolerate a torn trailing line
-		}
-		switch e.Kind {
-		case "event":
-			if e.Ev == nil {
-				continue
-			}
-			ev := e.Ev.toEvent()
-			s.events = append(s.events, ev)
-			if ev.Seq >= s.nextSeq {
-				// Stay in this store's sequence lane: the journal only
-				// ever holds seqs from one lane, so advancing by the
-				// stride preserves Seq % stride across restarts.
-				s.nextSeq = ev.Seq + opts.seqStride
-			}
-			s.appended++
-		case "reported":
-			s.markReportedLocked(e.Seq)
-		}
-	}
+	good, torn, err := s.replayJournal(f, opts.JournalPath)
 	f.Close()
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("eventstore: journal scan: %w", err)
+	if err != nil {
+		return nil, err
+	}
+	if torn {
+		if err := os.Truncate(opts.JournalPath, good); err != nil {
+			return nil, fmt.Errorf("eventstore: truncate torn journal tail: %w", err)
+		}
+		s.tornTails++
 	}
 	jf, err := os.OpenFile(opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -203,32 +190,6 @@ func Open(opts Options) (*Store, error) {
 	s.journal = jf
 	s.jw = bufio.NewWriter(jf)
 	return s, nil
-}
-
-// wireEvent is the JSON shape of an event in the journal.
-type wireEvent struct {
-	Root    string `json:"root"`
-	Op      uint32 `json:"op"`
-	Path    string `json:"path"`
-	OldPath string `json:"old,omitempty"`
-	Cookie  uint32 `json:"cookie,omitempty"`
-	TimeNS  int64  `json:"t"`
-	Seq     uint64 `json:"seq"`
-	Source  string `json:"src,omitempty"`
-}
-
-func fromEvent(e events.Event) *wireEvent {
-	return &wireEvent{
-		Root: e.Root, Op: uint32(e.Op), Path: e.Path, OldPath: e.OldPath,
-		Cookie: e.Cookie, TimeNS: e.Time.UnixNano(), Seq: e.Seq, Source: e.Source,
-	}
-}
-
-func (w *wireEvent) toEvent() events.Event {
-	return events.Event{
-		Root: w.Root, Op: events.Op(w.Op), Path: w.Path, OldPath: w.OldPath,
-		Cookie: w.Cookie, Time: time.Unix(0, w.TimeNS), Seq: w.Seq, Source: w.Source,
-	}
 }
 
 // Append stores the event, assigning and returning its sequence number.
@@ -242,10 +203,13 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
+	if err := s.journalEventsLocked([]events.Event{e}); err != nil {
+		s.mu.Unlock()
+		return 0, err
+	}
 	s.nextSeq += s.opts.seqStride
 	s.events = append(s.events, e)
 	s.appended++
-	s.journalEventLocked(e)
 	s.tel.auditAppend(e.Seq, 1, s.opts.seqStride)
 	groupFlush := s.maybeFlushLocked(1)
 	s.enforceBoundLocked()
@@ -258,7 +222,9 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 
 // AppendBatch stores a batch under a single lock acquisition, stamping the
 // assigned sequence numbers into the caller's slice, and returns the last
-// one. The journal flush policy is applied once for the whole batch.
+// one. The batch is journaled as one record — the same bytes AppendBlock
+// writes for it — and the flush policy is applied once for the whole
+// batch. On error nothing is stored.
 func (s *Store) AppendBatch(evs []events.Event) (uint64, error) {
 	if len(evs) == 0 {
 		return 0, nil
@@ -271,13 +237,18 @@ func (s *Store) AppendBatch(evs []events.Event) (uint64, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
+	seq := s.nextSeq
 	for i := range evs {
-		evs[i].Seq = s.nextSeq
-		s.nextSeq += s.opts.seqStride
-		s.events = append(s.events, evs[i])
-		s.appended++
-		s.journalEventLocked(evs[i])
+		evs[i].Seq = seq
+		seq += s.opts.seqStride
 	}
+	if err := s.journalEventsLocked(evs); err != nil {
+		s.mu.Unlock()
+		return 0, err
+	}
+	s.nextSeq = seq
+	s.events = append(s.events, evs...)
+	s.appended += uint64(len(evs))
 	groupFlush := s.maybeFlushLocked(len(evs))
 	s.enforceBoundLocked()
 	last := evs[len(evs)-1].Seq
@@ -294,8 +265,9 @@ func (s *Store) AppendBatch(evs []events.Event) (uint64, error) {
 // column, and returns the last one. This is the zero-copy form of
 // AppendBatch: the block's arena is interned once (one string allocation
 // for the whole batch — materialized events share its backing), and the
-// journal receives all of the batch's JSONL lines as a single vectored
-// write instead of two small writes per event.
+// journal record's body is the block's cached wire image after sequence
+// assignment — the bytes a later republish sends — so the batch is not
+// encoded again for the disk.
 func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	n := blk.Len()
 	if n == 0 {
@@ -328,47 +300,41 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	return last, nil
 }
 
-// journalEventLocked appends one event record to the journal buffer.
-func (s *Store) journalEventLocked(e events.Event) {
+// journalEventsLocked encodes evs (seqs assigned) into one event record
+// in the scratch buffer and hands it to the journal writer.
+func (s *Store) journalEventsLocked(evs []events.Event) error {
 	if s.jw == nil {
-		return
+		return nil
 	}
-	line, err := json.Marshal(struct {
-		Kind string     `json:"kind"`
-		Ev   *wireEvent `json:"ev"`
-	}{"event", fromEvent(e)})
-	if err == nil {
-		s.jw.Write(line)
-		s.jw.WriteByte('\n')
-		s.tel.journalBytes.Add(uint64(len(line) + 1))
+	frame, err := appendEventsFrame(s.scratch[:0], evs)
+	if err != nil {
+		return err
 	}
+	s.writeFrameLocked(frame)
+	return nil
 }
 
-// journalBlockLocked appends the block's event records to the journal as
-// one vectored write: every JSONL line is marshaled into a reused scratch
-// buffer, which reaches the writer in a single Write call instead of the
-// 2·n small writes of the per-event path.
+// journalBlockLocked journals the block as one event record whose body is
+// its wire image; only the frame header is built here.
 func (s *Store) journalBlockLocked(blk *events.Block) {
 	if s.jw == nil {
 		return
 	}
-	buf := s.scratch[:0]
-	for i := 0; i < blk.Len(); i++ {
-		line, err := json.Marshal(struct {
-			Kind string     `json:"kind"`
-			Ev   *wireEvent `json:"ev"`
-		}{"event", fromEvent(blk.Event(i))})
-		if err != nil {
-			continue
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	if len(buf) > 0 {
-		s.jw.Write(buf)
-		s.tel.journalBytes.Add(uint64(len(buf)))
-	}
-	s.scratch = buf[:0]
+	body := blk.Wire()
+	hdr := append(s.scratch[:0], make([]byte, frameHeaderLen)...)
+	putFrameHeader(hdr, kindEvents, body)
+	s.jw.Write(hdr)
+	s.jw.Write(body)
+	s.scratch = hdr[:0]
+	s.tel.journalBytes.Add(uint64(len(hdr) + len(body)))
+}
+
+// writeFrameLocked writes one whole record encoded in scratch and keeps
+// the (possibly grown) buffer for reuse.
+func (s *Store) writeFrameLocked(frame []byte) {
+	s.jw.Write(frame)
+	s.scratch = frame[:0]
+	s.tel.journalBytes.Add(uint64(len(frame)))
 }
 
 // flushLocked flushes the journal buffer, timing it when telemetry is on.
@@ -458,14 +424,7 @@ func (s *Store) MarkReported(seq uint64) error {
 	}
 	s.markReportedLocked(seq)
 	if s.jw != nil {
-		line, err := json.Marshal(struct {
-			Kind string `json:"kind"`
-			Seq  uint64 `json:"seq"`
-		}{"reported", seq})
-		if err == nil {
-			s.jw.Write(line)
-			s.jw.WriteByte('\n')
-		}
+		s.writeFrameLocked(appendReportedFrame(s.scratch[:0], seq))
 	}
 	return nil
 }
@@ -573,6 +532,9 @@ type Stats struct {
 	Purged   uint64
 	Evicted  uint64
 	NextSeq  uint64
+	// TornTails counts torn final journal records that Open truncated
+	// (at most one per Open of a journal file).
+	TornTails uint64
 }
 
 // Stats returns a snapshot of the counters.
@@ -582,6 +544,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Retained: len(s.events), Reported: len(s.reported),
 		Appended: s.appended, Purged: s.purged, Evicted: s.evicted, NextSeq: s.nextSeq,
+		TornTails: s.tornTails,
 	}
 }
 
@@ -604,7 +567,7 @@ func (s *Store) LastSeq() uint64 {
 
 // CompactJournal rewrites the journal to contain only the currently
 // retained events and their reported flags, reclaiming space from purged
-// history (the JSONL journal otherwise grows without bound across purge
+// history (the journal otherwise grows without bound across purge
 // cycles). No-op without a journal.
 func (s *Store) CompactJournal() error {
 	s.mu.Lock()
@@ -623,30 +586,24 @@ func (s *Store) CompactJournal() error {
 	w := bufio.NewWriter(f)
 	var maxReported uint64
 	for _, e := range s.events {
-		line, err := json.Marshal(struct {
-			Kind string     `json:"kind"`
-			Ev   *wireEvent `json:"ev"`
-		}{"event", fromEvent(e)})
+		if s.reported[e.Seq] && e.Seq > maxReported {
+			maxReported = e.Seq
+		}
+	}
+	for start := 0; start < len(s.events); start += compactFrameEvents {
+		frame, err := appendEventsFrame(s.scratch[:0], s.events[start:min(start+compactFrameEvents, len(s.events))])
 		if err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return err
 		}
-		w.Write(line)
-		w.WriteByte('\n')
-		if s.reported[e.Seq] && e.Seq > maxReported {
-			maxReported = e.Seq
-		}
+		w.Write(frame)
+		s.scratch = frame[:0]
 	}
 	if maxReported > 0 {
-		line, err := json.Marshal(struct {
-			Kind string `json:"kind"`
-			Seq  uint64 `json:"seq"`
-		}{"reported", maxReported})
-		if err == nil {
-			w.Write(line)
-			w.WriteByte('\n')
-		}
+		frame := appendReportedFrame(s.scratch[:0], maxReported)
+		w.Write(frame)
+		s.scratch = frame[:0]
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()

@@ -145,7 +145,7 @@ func TestMaxEventsBound(t *testing.T) {
 
 func TestJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
-	jp := filepath.Join(dir, "events.jsonl")
+	jp := filepath.Join(dir, "events.journal")
 	s, err := New(Options{JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestJournalRecovery(t *testing.T) {
 }
 
 func TestOpenMissingJournalIsEmpty(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "none.jsonl")
+	jp := filepath.Join(t.TempDir(), "none.journal")
 	s, err := Open(Options{JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 }
 
 func TestCompactJournal(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)

@@ -379,6 +379,7 @@ func (s *Sharded) Stats() Stats {
 		agg.Appended += st.Appended
 		agg.Purged += st.Purged
 		agg.Evicted += st.Evicted
+		agg.TornTails += st.TornTails
 		if st.NextSeq > agg.NextSeq {
 			agg.NextSeq = st.NextSeq
 		}

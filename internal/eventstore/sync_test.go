@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +11,10 @@ import (
 	"fsmonitor/internal/events"
 )
 
-func journalLines(t *testing.T, path string) int {
+// journalEvents walks the journal's frames and returns how many event
+// records they carry — the events in every 'E' frame. A partial frame
+// fails the test: every flush must leave whole records on disk.
+func journalEvents(t *testing.T, path string) int {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -20,16 +24,28 @@ func journalLines(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, c := range b {
-		if c == '\n' {
-			n++
+	for off := 0; off < len(b); {
+		if len(b)-off < frameHeaderLen {
+			t.Fatalf("partial frame header at offset %d", off)
 		}
+		end := off + frameHeaderLen + int(binary.LittleEndian.Uint32(b[off:]))
+		if end > len(b) {
+			t.Fatalf("partial frame at offset %d", off)
+		}
+		if b[off+8] == kindEvents {
+			blk, err := events.DecodeBlock(b[off+frameHeaderLen : end])
+			if err != nil {
+				t.Fatalf("frame at offset %d: %v", off, err)
+			}
+			n += blk.Len()
+		}
+		off = end
 	}
 	return n
 }
 
 func TestSyncAlwaysFlushesEveryAppend(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -39,14 +55,14 @@ func TestSyncAlwaysFlushesEveryAppend(t *testing.T) {
 		if _, err := s.Append(mkEvent(fmt.Sprintf("/f%d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if got := journalLines(t, jp); got != i {
-			t.Fatalf("after %d appends journal has %d lines (no Close yet)", i, got)
+		if got := journalEvents(t, jp); got != i {
+			t.Fatalf("after %d appends journal has %d events (no Close yet)", i, got)
 		}
 	}
 }
 
 func TestSyncOnCloseBuffers(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp}) // default SyncOnClose
 	if err != nil {
 		t.Fatal(err)
@@ -57,42 +73,42 @@ func TestSyncOnCloseBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := journalLines(t, jp); got != 0 {
-		t.Fatalf("journal has %d lines before Close under SyncOnClose", got)
+	if got := journalEvents(t, jp); got != 0 {
+		t.Fatalf("journal has %d events before Close under SyncOnClose", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := journalLines(t, jp); got != 5 {
-		t.Fatalf("journal has %d lines after Close, want 5", got)
+	if got := journalEvents(t, jp); got != 5 {
+		t.Fatalf("journal has %d events after Close, want 5", got)
 	}
 }
 
 func TestSyncEveryNFlushesInWindows(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp, Sync: SyncEveryN, SyncEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.Append(mkEvent("/a", 1))
-	if got := journalLines(t, jp); got != 0 {
-		t.Fatalf("flushed after 1 append with SyncEvery=2 (%d lines)", got)
+	if got := journalEvents(t, jp); got != 0 {
+		t.Fatalf("flushed after 1 append with SyncEvery=2 (%d events)", got)
 	}
 	s.Append(mkEvent("/b", 2))
-	if got := journalLines(t, jp); got != 2 {
-		t.Fatalf("after 2 appends journal has %d lines, want 2", got)
+	if got := journalEvents(t, jp); got != 2 {
+		t.Fatalf("after 2 appends journal has %d events, want 2", got)
 	}
 	s.Append(mkEvent("/c", 3))
-	if got := journalLines(t, jp); got != 2 {
-		t.Fatalf("third append flushed early (%d lines)", got)
+	if got := journalEvents(t, jp); got != 2 {
+		t.Fatalf("third append flushed early (%d events)", got)
 	}
 	// A batch counts all its events against the window.
 	if _, err := s.AppendBatch([]events.Event{mkEvent("/d", 4), mkEvent("/e", 5)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := journalLines(t, jp); got != 5 {
-		t.Fatalf("after batch journal has %d lines, want 5", got)
+	if got := journalEvents(t, jp); got != 5 {
+		t.Fatalf("after batch journal has %d events, want 5", got)
 	}
 }
 

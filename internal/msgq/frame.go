@@ -41,10 +41,15 @@ type Message struct {
 // a huge allocation.
 const maxFrame = 64 << 20
 
-// control topics exchanged from subscriber to publisher.
+// control topics exchanged between subscriber and publisher. ctlSync asks
+// the publisher to confirm that every control frame sent before it has
+// been applied; the publisher answers with ctlSyncAck, queued in order
+// with its data frames.
 const (
 	ctlSubscribe   = "\x01SUB"
 	ctlUnsubscribe = "\x01UNSUB"
+	ctlSync        = "\x01SYNC"
+	ctlSyncAck     = "\x01SYNCACK"
 )
 
 // writeMessage writes one frame: u32 len(topic) | topic | u32 len(payload) | payload.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -499,5 +500,54 @@ func TestWaitReadyNoConnections(t *testing.T) {
 	defer sub.Close()
 	if err := sub.WaitReady(50 * time.Millisecond); err == nil {
 		t.Error("WaitReady succeeded with zero endpoints")
+	}
+}
+
+// WaitReady on a TCP subscriber means the publisher has applied its
+// subscriptions: a single publish right after it must arrive, every time.
+// Every tenth attach runs on one P against a spinning goroutine, so the
+// publisher's control reader waits for a scheduler slice; readiness that
+// is guessed after a fixed pause rather than acknowledged loses that
+// publish.
+func TestTCPReadyMeansSubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pub := NewPub()
+	defer pub.Close()
+	if err := pub.Bind("tcp://127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		stop := make(chan struct{})
+		if i%10 == 0 {
+			go func() {
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		sub := NewSub()
+		sub.Subscribe("t.")
+		if err := sub.Connect(pub.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.WaitReady(5 * time.Second); err != nil {
+			t.Fatalf("attach %d: %v", i, err)
+		}
+		want := fmt.Sprintf("m%d", i)
+		pub.Publish("t.x", []byte(want))
+		select {
+		case m := <-sub.C():
+			if m.Topic != "t.x" || string(m.Payload) != want {
+				t.Fatalf("attach %d: got %q %q, want t.x %q", i, m.Topic, m.Payload, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("attach %d: publish after WaitReady never arrived", i)
+		}
+		sub.Close()
+		close(stop)
 	}
 }

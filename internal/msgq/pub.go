@@ -177,7 +177,7 @@ func (p *Pub) acceptLoop(ln net.Listener) {
 	}
 }
 
-// subReader processes SUB/UNSUB control frames from the subscriber.
+// subReader processes SUB/UNSUB/SYNC control frames from the subscriber.
 func (p *Pub) subReader(sub *pubSubscriber) {
 	defer p.wg.Done()
 	defer p.detach(sub)
@@ -196,6 +196,15 @@ func (p *Pub) subReader(sub *pubSubscriber) {
 			sub.mu.Lock()
 			delete(sub.prefixes, string(m.Payload))
 			sub.mu.Unlock()
+		case ctlSync:
+			// Every earlier SUB is applied, so any publish from here on
+			// matches it. The ack rides the data queue, behind whatever
+			// was already queued for this subscriber.
+			select {
+			case sub.queue <- Message{Topic: ctlSyncAck}:
+			case <-sub.done:
+				return
+			}
 		}
 	}
 }

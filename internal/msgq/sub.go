@@ -262,57 +262,57 @@ func (s *Sub) runInproc(c *subConn) bool {
 // subscriber attaches (the ZeroMQ "slow joiner"); callers that must not
 // miss the first messages wait for readiness before triggering them.
 func (s *Sub) WaitReady(timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		s.mu.Lock()
-		allReady := true
-		n := 0
+	return s.waitUntil(timeout, "sub not ready", func() bool {
 		for _, c := range s.conns {
-			n++
 			if !c.isReady() {
-				allReady = false
+				return false
 			}
 		}
-		change := s.readyCh
-		s.mu.Unlock()
-		if n > 0 && allReady {
-			return nil
-		}
-		select {
-		case <-change:
-		case <-deadline.C:
-			return fmt.Errorf("msgq: sub not ready after %v", timeout)
-		case <-s.closed:
-			return fmt.Errorf("msgq: sub closed")
-		}
-	}
+		return len(s.conns) > 0
+	})
 }
 
 // WaitAnyReady blocks until at least one connected endpoint is ready, or
 // the timeout elapses. Used when some publishers may come up later (e.g.
 // an aggregator whose collectors restart independently).
 func (s *Sub) WaitAnyReady(timeout time.Duration) error {
+	return s.waitUntil(timeout, "no endpoint ready", func() bool {
+		for _, c := range s.conns {
+			if c.isReady() {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// WaitEndpointReady blocks until the link to ep (as passed to Connect) is
+// ready, or the timeout elapses — WaitReady for one publisher among
+// several, some of which may be down.
+func (s *Sub) WaitEndpointReady(ep string, timeout time.Duration) error {
+	return s.waitUntil(timeout, "endpoint "+ep+" not ready", func() bool {
+		c, ok := s.conns[ep]
+		return ok && c.isReady()
+	})
+}
+
+// waitUntil blocks until ready (evaluated under s.mu) holds, re-checking
+// on every readiness change.
+func (s *Sub) waitUntil(timeout time.Duration, what string, ready func() bool) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		s.mu.Lock()
-		any := false
-		for _, c := range s.conns {
-			if c.isReady() {
-				any = true
-				break
-			}
-		}
+		ok := ready()
 		change := s.readyCh
 		s.mu.Unlock()
-		if any {
+		if ok {
 			return nil
 		}
 		select {
 		case <-change:
 		case <-deadline.C:
-			return fmt.Errorf("msgq: no endpoint ready after %v", timeout)
+			return fmt.Errorf("msgq: %s after %v", what, timeout)
 		case <-s.closed:
 			return fmt.Errorf("msgq: sub closed")
 		}
@@ -342,11 +342,14 @@ func (s *Sub) runTCP(c *subConn) bool {
 			return false
 		}
 	}
-	// Give the publisher's control-frame reader a beat to process the
-	// subscriptions before declaring readiness; topic matching happens
-	// publisher-side at publish time.
-	time.Sleep(5 * time.Millisecond)
-	c.setReady(true)
+	// Topic matching happens publisher-side at publish time, so the link
+	// is ready only once the publisher has applied the subscriptions: it
+	// acknowledges a SYNC sent after them, and the ack (read below)
+	// declares readiness.
+	if err := writeMessage(w, Message{Topic: ctlSync}); err != nil {
+		conn.Close()
+		return false
+	}
 	defer c.setReady(false)
 	// Close the conn when the socket closes so the read loop unblocks.
 	done := make(chan struct{})
@@ -372,6 +375,10 @@ func (s *Sub) runTCP(c *subConn) bool {
 			default:
 				return false
 			}
+		}
+		if m.Topic == ctlSyncAck {
+			c.setReady(true)
+			continue
 		}
 		s.mu.Lock()
 		s.received++

@@ -16,6 +16,30 @@ import (
 	"fsmonitor/internal/msgq"
 )
 
+// A clustered deploy whose journal directory does not exist fails fast
+// with the store-open error naming the path, not with a coverage timeout.
+func TestClusterDeployMissingJournalDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "journal")
+	start := time.Now()
+	m, err := Deploy(testCluster(1), DeployOptions{
+		CacheSize:       100,
+		PollInterval:    time.Millisecond,
+		ClusterNodes:    2,
+		StorePartitions: 2,
+		ClusterStore:    eventstore.Options{JournalPath: missing},
+	})
+	if err == nil {
+		m.Close()
+		t.Fatal("deploy with a missing journal directory succeeded")
+	}
+	if !strings.Contains(err.Error(), missing) {
+		t.Errorf("error does not name the journal path %s: %v", missing, err)
+	}
+	if took := time.Since(start); took > clusterReadyTimeout/2 {
+		t.Errorf("error took %v, want well under the %v coverage timeout", took, clusterReadyTimeout)
+	}
+}
+
 // TestClusterDeployEndToEnd drives the full clustered deployment: two
 // aggregator nodes, routed collectors, and a consumer subscribed to both
 // nodes, over a live workload.

@@ -196,6 +196,15 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 			if owned == parts {
 				break
 			}
+			// A partition whose store cannot open (a missing journal
+			// directory, a corrupt segment) never becomes owned: fail
+			// with the cause now rather than with a coverage timeout.
+			for _, n := range m.Nodes {
+				if err := n.OpenError(); err != nil {
+					m.Close()
+					return nil, fmt.Errorf("scalable: %w", err)
+				}
+			}
 			if time.Now().After(deadline) {
 				m.Close()
 				return nil, fmt.Errorf("scalable: cluster owns %d/%d partitions after %v", owned, parts, clusterReadyTimeout)

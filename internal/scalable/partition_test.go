@@ -210,7 +210,7 @@ func TestShardedOneRecoveryWireIdentical(t *testing.T) {
 // NewConsumerVector — replays exactly the missed suffix with no
 // duplicates.
 func TestPartitionedCrashRestartRecovery(t *testing.T) {
-	jp := t.TempDir() + "/agg.jsonl"
+	jp := t.TempDir() + "/agg.journal"
 	storeOpts := eventstore.Options{JournalPath: jp, Sync: eventstore.SyncAlways}
 	eng1, err := eventstore.OpenSharded(2, storeOpts)
 	if err != nil {
