@@ -28,12 +28,16 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # fuzz-smoke runs each fuzz target for a few seconds past its checked-in
-# seed corpus: the Block wire codec against the legacy codec, and journal
+# seed corpus: the Block wire codec against the legacy codec, journal
 # replay (never panics; keeps a whole-record prefix or names the corrupt
-# offset). A failing input lands in the package's testdata/fuzz.
+# offset), the msgq frame decoder (bounded allocation, exact re-encoding)
+# and the recovery request decoders (exact-length payloads only). A
+# failing input lands in the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime 5s ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/eventstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/msgq/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryDecode$$' -fuzztime 5s ./internal/scalable/
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -145,7 +149,7 @@ trace-sample:
 
 # check is the pre-PR gate: everything must build, vet (and staticcheck,
 # where installed) clean, pass the full suite under the race detector,
-# survive a short fuzz of the wire codec and journal replay, hold the
+# survive a short fuzz of the wire decoders and journal replay, hold the
 # tracing-overhead and mount-routing benches, keep the cluster
 # delivery-conservation audit balanced, and prove the incident flight
 # recorder captures an injected stall.

@@ -424,7 +424,7 @@ func (s *Store) MarkReported(seq uint64) error {
 	}
 	s.markReportedLocked(seq)
 	if s.jw != nil {
-		s.writeFrameLocked(appendReportedFrame(s.scratch[:0], seq))
+		s.writeFrameLocked(appendSeqFrame(s.scratch[:0], kindReported, seq))
 	}
 	return nil
 }
@@ -559,6 +559,10 @@ func (s *Store) Len() int {
 func (s *Store) LastSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.lastSeqLocked()
+}
+
+func (s *Store) lastSeqLocked() uint64 {
 	if s.nextSeq == s.opts.seqOffset+s.opts.seqStride {
 		return 0 // nothing assigned yet
 	}
@@ -601,7 +605,15 @@ func (s *Store) CompactJournal() error {
 		s.scratch = frame[:0]
 	}
 	if maxReported > 0 {
-		frame := appendReportedFrame(s.scratch[:0], maxReported)
+		frame := appendSeqFrame(s.scratch[:0], kindReported, maxReported)
+		w.Write(frame)
+		s.scratch = frame[:0]
+	}
+	// The retained events carry their seqs; when none carries the last
+	// assigned one (everything was purged), record the lane position so
+	// the reopened store does not reissue it.
+	if last := s.lastSeqLocked(); last > 0 && (len(s.events) == 0 || s.events[len(s.events)-1].Seq != last) {
+		frame := appendSeqFrame(s.scratch[:0], kindLane, last)
 		w.Write(frame)
 		s.scratch = frame[:0]
 	}

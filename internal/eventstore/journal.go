@@ -18,12 +18,18 @@ import (
 //	u32 len | u32 crc32c | u8 kind | body
 //
 // len counts the body bytes; crc32c (Castagnoli) covers the kind byte and
-// the body. Two kinds exist:
+// the body. Three kinds exist:
 //
 //   - 'E' — an event batch; the body is the Block wire encoding (see
 //     events/codec.go), the same bytes the aggregation tier republishes,
 //     so a store on the block path writes the cached wire image as is.
 //   - 'R' — a reported high-water mark; the body is one u64 seq.
+//   - 'L' — the lane position: the last seq the store assigned, one u64.
+//     Replay never restarts the sequence lane at or below it. Event
+//     records carry their own seqs, so only CompactJournal writes it, and
+//     only when the retained window does not end at the last assigned seq
+//     (every event was purged): without it, the reopened store would
+//     reissue seqs consumers already hold.
 //
 // Replay (Open) distinguishes a torn tail from corruption. A crash can
 // only tear the final write, so a frame that is incomplete at end of file
@@ -37,6 +43,7 @@ const (
 
 	kindEvents   byte = 'E'
 	kindReported byte = 'R'
+	kindLane     byte = 'L'
 
 	// compactFrameEvents caps the events CompactJournal packs into one
 	// frame, so a large retained window never becomes one huge record.
@@ -78,11 +85,12 @@ func appendEventsFrame(buf []byte, evs []events.Event) ([]byte, error) {
 	return out, nil
 }
 
-// appendReportedFrame appends one whole 'R' frame for seq to buf.
-func appendReportedFrame(buf []byte, seq uint64) []byte {
+// appendSeqFrame appends one whole frame of the given kind ('R' or 'L')
+// whose body is seq to buf.
+func appendSeqFrame(buf []byte, kind byte, seq uint64) []byte {
 	start := len(buf)
 	out := binary.LittleEndian.AppendUint64(append(buf, make([]byte, frameHeaderLen)...), seq)
-	putFrameHeader(out[start:], kindReported, out[start+frameHeaderLen:])
+	putFrameHeader(out[start:], kind, out[start+frameHeaderLen:])
 	return out
 }
 
@@ -115,7 +123,7 @@ func (s *Store) replayJournal(f *os.File, path string) (good int64, torn bool, e
 		}
 		// A complete header carries the kind as written, so an unknown
 		// kind is damage wherever it sits, never a tear.
-		if kind := hdr[8]; kind != kindEvents && kind != kindReported {
+		if kind := hdr[8]; kind != kindEvents && kind != kindReported && kind != kindLane {
 			if good == 0 && hdr[0] == '{' {
 				return 0, false, fmt.Errorf("%w: %s", ErrLegacyJournal, path)
 			}
@@ -163,7 +171,7 @@ func (s *Store) replayJournal(f *os.File, path string) (good int64, torn bool, e
 // self-delimiting, which lets replay tell a damaged length field (a whole
 // record followed by more bytes) from a torn write (a partial record).
 func recordLen(kind byte, b []byte, blk *events.Block) int {
-	if kind == kindReported {
+	if kind != kindEvents {
 		if len(b) < 8 {
 			return -1
 		}
@@ -218,11 +226,16 @@ func (s *Store) replayRecord(kind byte, body []byte, blk *events.Block) error {
 		}
 		s.events = blk.AppendEventsTo(s.events)
 		s.appended += uint64(blk.Len())
-	case kindReported:
+	default:
 		if len(body) != 8 {
-			return fmt.Errorf("reported record of %d bytes, want 8", len(body))
+			return fmt.Errorf("record %q of %d bytes, want 8", kind, len(body))
 		}
-		s.markReportedLocked(binary.LittleEndian.Uint64(body))
+		seq := binary.LittleEndian.Uint64(body)
+		if kind == kindReported {
+			s.markReportedLocked(seq)
+		} else if seq >= s.nextSeq {
+			s.nextSeq = seq + s.opts.seqStride
+		}
 	}
 	return nil
 }

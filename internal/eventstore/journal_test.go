@@ -400,6 +400,24 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte(`{"kind":"event","ev":{"root":"/r","op":1,"path":"/a","t":100,"seq":1}}` + "\n"))
 	f.Add([]byte{})
+	// A compacted journal of a fully purged store: one lane-position record.
+	lp := filepath.Join(f.TempDir(), "lane.journal")
+	ls, err := New(Options{JournalPath: lp})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ls.Append(ev("/a"))
+	ls.MarkReported(1)
+	ls.Purge()
+	if err := ls.CompactJournal(); err != nil {
+		f.Fatal(err)
+	}
+	ls.Close()
+	lane, err := os.ReadFile(lp)
+	if err != nil || len(lane) == 0 || lane[8] != kindLane {
+		f.Fatalf("lane-position seed: %q, %v", lane, err)
+	}
+	f.Add(lane)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jp := filepath.Join(t.TempDir(), "j.journal")
@@ -435,6 +453,86 @@ func FuzzJournalReplay(f *testing.F) {
 		for i := range got {
 			if again[i].Seq != got[i].Seq || again[i].Path != got[i].Path {
 				t.Fatalf("reopen: event %d = %+v, want %+v", i, again[i], got[i])
+			}
+		}
+	})
+}
+
+// A journal compacted after every event was purged still carries the
+// lane position: the reopened store continues above the last seq it
+// assigned instead of reissuing seqs consumers already hold — for a plain
+// store and for every lane of a sharded one (stride > 1).
+func TestCompactedJournalKeepsLanePosition(t *testing.T) {
+	t.Run("store", func(t *testing.T) {
+		jp := filepath.Join(t.TempDir(), "j.journal")
+		s := mustNew(t, Options{JournalPath: jp})
+		for i := 0; i < 3; i++ {
+			if _, err := s.Append(ev("/f")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.MarkReported(3); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s.Purge(); err != nil || n != 3 {
+			t.Fatalf("Purge = %d, %v", n, err)
+		}
+		if err := s.CompactJournal(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		r, err := Open(Options{JournalPath: jp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if seq, err := r.Append(ev("/g")); err != nil || seq != 4 {
+			t.Fatalf("seq after full purge, compaction and reopen = %d, %v; want 4", seq, err)
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		const parts = 3
+		jp := filepath.Join(t.TempDir(), "j.journal")
+		s, err := OpenSharded(parts, Options{JournalPath: jp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < parts; p++ {
+			// Uneven lanes: partition p holds p+2 events.
+			batch := make([]events.Event, p+2)
+			for i := range batch {
+				batch[i] = ev(fmt.Sprintf("/p%d/f%d", p, i))
+			}
+			if _, err := s.AppendBatchPartition(p, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := s.LastSeqVector()
+		if err := s.MarkReportedVector(before); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Purge(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("%d events retained after a full purge", s.Len())
+		}
+		if err := s.CompactJournal(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		r, err := OpenSharded(parts, Options{JournalPath: jp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for p := 0; p < parts; p++ {
+			seq, err := r.AppendBatchPartition(p, []events.Event{ev("/next")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq <= before[p] || int(seq%parts) != p {
+				t.Errorf("partition %d continued at seq %d; want above %d in lane %d", p, seq, before[p], p)
 			}
 		}
 	})

@@ -41,6 +41,11 @@ type Message struct {
 // a huge allocation.
 const maxFrame = 64 << 20
 
+// frameChunk bounds the up-front allocation for a frame component. A
+// longer component is read in doubling steps, so a peer that announces a
+// large frame but sends little costs about what it sent.
+const frameChunk = 1 << 20
+
 // control topics exchanged between subscriber and publisher. ctlSync asks
 // the publisher to confirm that every control frame sent before it has
 // been applied; the publisher answers with ctlSyncAck, queued in order
@@ -94,11 +99,19 @@ func readChunk(r *bufio.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("msgq: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		k, err := io.ReadFull(r, buf[have:])
+		if err != nil {
+			return nil, err
+		}
+		if have += k; have == int(n) {
+			return buf, nil
+		}
+		grown := make([]byte, min(int(n), 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 // WriteFrame writes one frame to w and flushes. Exposed for protocols that

@@ -326,36 +326,6 @@ func Expand[In, Out any](p *Pipeline, name string, buf int, in Flow[In], fn func
 	return Flow[Out]{p: p, ch: ch}
 }
 
-// Merge fans several flows into one. Items from the same upstream flow
-// keep their relative order; interleaving between flows is arbitrary.
-func Merge[T any](p *Pipeline, name string, buf int, ins ...Flow[T]) Flow[T] {
-	st := p.newStage(name)
-	ch := make(chan T, bufOr(buf))
-	var fanIn sync.WaitGroup
-	for _, in := range ins {
-		in := in
-		fanIn.Add(1)
-		p.spawn(func() {
-			defer fanIn.Done()
-			for {
-				v, ok := recv(p, in.ch)
-				if !ok {
-					return
-				}
-				st.in.Add(1)
-				if !send(p, st, ch, v) {
-					return
-				}
-			}
-		})
-	}
-	p.spawn(func() {
-		fanIn.Wait()
-		close(ch)
-	})
-	return Flow[T]{p: p, ch: ch}
-}
-
 // Batch groups items into slices bounded by size and age: a batch is
 // emitted when it reaches size items or when interval elapses with a
 // non-empty partial batch (bounding added latency). Slices come from pool

@@ -278,64 +278,6 @@ func TestQuickStopNeverLosesAcceptedEvents(t *testing.T) {
 	}
 }
 
-// TestQuickMergePreservesPerSourceOrder checks the fan-in invariant under
-// random cancellation: a merged pipeline may interleave sources
-// arbitrarily, but each source's events stay in their original relative
-// order and the accepted prefix of each source survives intact.
-func TestQuickMergePreservesPerSourceOrder(t *testing.T) {
-	type item struct{ src, seq int }
-	f := func(nA, nB, stopAfterUS uint16) bool {
-		counts := []int{int(nA)%800 + 1, int(nB)%800 + 1}
-
-		p := New(context.Background())
-		accepted := make([]atomic.Int64, len(counts))
-		flows := make([]Flow[item], len(counts))
-		for s := range counts {
-			s := s
-			flows[s] = Source(p, "gen", 4, func(_ context.Context, emit func(item) bool) error {
-				for i := 0; i < counts[s]; i++ {
-					if !emit(item{src: s, seq: i}) {
-						return nil
-					}
-					accepted[s].Add(1)
-				}
-				return nil
-			})
-		}
-		merged := Merge(p, "merge", 8, flows...)
-		var mu sync.Mutex
-		perSrc := make([][]int, len(counts))
-		Sink(p, "collect", merged, func(_ context.Context, v item) {
-			mu.Lock()
-			perSrc[v.src] = append(perSrc[v.src], v.seq)
-			mu.Unlock()
-		})
-
-		stopDelay := time.Duration(stopAfterUS%500) * time.Microsecond
-		timer := time.AfterFunc(stopDelay, p.Stop)
-		defer timer.Stop()
-		p.Wait()
-		p.Stop()
-
-		for s := range counts {
-			if int64(len(perSrc[s])) != accepted[s].Load() {
-				t.Logf("source %d: accepted %d, delivered %d", s, accepted[s].Load(), len(perSrc[s]))
-				return false
-			}
-			for i, seq := range perSrc[s] {
-				if seq != i {
-					t.Logf("source %d: out[%d] = %d, per-source order violated", s, i, seq)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickAbortNeverDuplicates: an abort may drop in-flight events, but
 // must never deliver one twice or out of order, and must terminate.
 func TestQuickAbortNeverDuplicates(t *testing.T) {

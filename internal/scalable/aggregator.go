@@ -45,19 +45,14 @@ type AggregatorOptions struct {
 	// "inproc://aggregator").
 	Endpoint string
 	// Engine is the reliable event store engine; it takes precedence
-	// over Store and StorePartitions. If both Engine and Store are nil
-	// (and the store is not disabled) the aggregator creates an
-	// unbounded in-memory sharded engine with StorePartitions shards
-	// (the paper uses MySQL here).
+	// over StorePartitions. If Engine is nil (and the store is not
+	// disabled) the aggregator creates an unbounded in-memory sharded
+	// engine with StorePartitions shards (the paper uses MySQL here).
 	Engine eventstore.Engine
-	// Store is the legacy single-store knob (equivalent to Engine with
-	// one partition); retained so existing callers keep working.
-	Store *eventstore.Store
 	// StorePartitions is the partition count for the default engine and
 	// for the aggregation pipeline's store lanes (default
 	// pipeline.DefaultStorePartitions = 1, which reproduces the paper's
-	// single serial store thread). Ignored when Store is set (a plain
-	// Store is one partition).
+	// single serial store thread). Ignored when Engine is set.
 	StorePartitions int
 	// EventOverhead is the accounted aggregation cost per event
 	// (default 500ns), spent on the owning partition's lane.
@@ -162,8 +157,6 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 	case opts.DisableStore:
 	case opts.Engine != nil:
 		engine = eventstore.AsPartitioned(opts.Engine)
-	case opts.Store != nil:
-		engine = opts.Store
 	default:
 		sh, err := eventstore.NewSharded(opts.StorePartitions, eventstore.Options{})
 		if err != nil {
@@ -647,11 +640,12 @@ func encodeSeq(seq uint64) []byte {
 	return b[:]
 }
 
-func decodeSeq(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
+// decodeSeq reports false unless b is exactly one encoded seq.
+func decodeSeq(b []byte) (uint64, bool) {
+	if len(b) != 8 {
+		return 0, false
 	}
-	return binary.LittleEndian.Uint64(b)
+	return binary.LittleEndian.Uint64(b), true
 }
 
 // encodeSeqVector/decodeSeqVector frame a per-partition cursor vector for
@@ -665,12 +659,13 @@ func encodeSeqVector(cursors []uint64) []byte {
 	return b
 }
 
+// decodeSeqVector returns nil unless b is exactly one encoded vector.
 func decodeSeqVector(b []byte) []uint64 {
 	if len(b) < 4 {
 		return nil
 	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if n < 0 || len(b) < 4+8*n {
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(len(b)-4) != 8*uint64(n) {
 		return nil
 	}
 	out := make([]uint64, n)

@@ -1,21 +1,27 @@
 // Package scalable implements the paper's scalable monitor for distributed
-// file systems (§IV, Fig. 4): one Collector per MDS extracts events from
-// that MDS's Changelog, processes them with Algorithm 1 (fid2path
-// resolution through an LRU cache), and publishes them over the message
-// queue; an Aggregator on the MGS subscribes to every collector, stores
-// events for fault tolerance, and publishes the merged stream; Consumers
-// subscribe to the aggregator, filter client-side, and recover missed
-// events from the reliable store.
+// file systems (§IV, Fig. 4): one Collector per storage source captures
+// events and publishes them over the message queue; an Aggregator on the
+// MGS subscribes to every collector, stores events for fault tolerance,
+// and publishes the merged stream; Consumers subscribe to the aggregator,
+// filter client-side, and recover missed events from the reliable store.
 //
-// Every service runs on internal/pipeline stages: the collector is
-// changelog-read → resolve → publish, the aggregator subscribe → store →
-// republish, the consumer subscribe → filter-deliver. The resolve stage is
-// a pipeline.MapN over a shared resolve.Resolver — ResolveWorkers
-// invocations of Algorithm 1 run concurrently against the sharded,
-// singleflight-coalescing fid2path cache, while MapN's order-preserving
-// resequencing keeps per-FID event order and Changelog purge cursors
-// strictly in Changelog order. Lifecycle is context-driven — Close drains
-// the stages in order, and an optional parent context aborts them.
+// A Collector reads one of two capture sources: a Lustre MDT's Changelog,
+// resolved with Algorithm 1 (fid2path through an LRU cache), or a mounted
+// DSI whose already-standardized stream is rewritten into the mount's
+// prefix of one unified namespace. Everything downstream of capture — the
+// publish stage, cluster routing, the conservation audit and span traces —
+// is the same for both.
+//
+// Every service runs on internal/pipeline stages: the Changelog collector
+// is changelog-read → resolve → publish, the DSI collector collect →
+// publish, the aggregator subscribe → store → republish, the consumer
+// subscribe → filter-deliver. The resolve stage is a pipeline.MapN over a
+// shared resolve.Resolver — ResolveWorkers invocations of Algorithm 1 run
+// concurrently against the sharded, singleflight-coalescing fid2path
+// cache, while MapN's order-preserving resequencing keeps per-FID event
+// order and Changelog purge cursors strictly in Changelog order. Lifecycle
+// is context-driven — Close drains the stages in order, and an optional
+// parent context aborts them.
 package scalable
 
 import (
@@ -28,6 +34,8 @@ import (
 	"time"
 
 	"fsmonitor/internal/cache"
+	"fsmonitor/internal/dsi"
+	"fsmonitor/internal/dsi/mount"
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/lustre"
@@ -38,7 +46,8 @@ import (
 )
 
 // TopicPrefix is the message-queue topic prefix for collector event
-// batches; the per-MDT topic is TopicPrefix + "mdt<N>".
+// batches: TopicPrefix + "mdt<N>" for a Changelog collector and
+// TopicPrefix + "mount.<name>" for a mounted DSI.
 const TopicPrefix = "events."
 
 // ParentDirectoryRemoved is the path reported when both the target and its
@@ -48,7 +57,7 @@ const ParentDirectoryRemoved = resolve.ParentDirectoryRemoved
 
 // Router maps store partitions to their owning aggregator node. A routed
 // collector publishes each batch slice to the owning node's inbox topic
-// instead of its own per-MDT topic, and re-resolves the owner between
+// instead of its own per-source topic, and re-resolves the owner between
 // delivery retries, so an in-flight batch follows a partition handoff to
 // the new owner. cluster.Membership (observer mode) implements it.
 type Router interface {
@@ -59,7 +68,9 @@ type Router interface {
 	OwnerTopic(part int) (string, bool)
 }
 
-// CollectorOptions configures one collector service.
+// CollectorOptions configures one collector service. Cluster through
+// CacheLookupCost configure the Changelog source; the rest apply to every
+// collector.
 type CollectorOptions struct {
 	// Cluster is the file system whose Changelog is read.
 	Cluster *lustre.Cluster
@@ -90,23 +101,6 @@ type CollectorOptions struct {
 	// ParentDirectoryRemoved marker more often than under the serial
 	// collector.
 	ResolveWorkers int
-	// BatchSize bounds records per Changelog read (default
-	// pipeline.DefaultChangelogBatch).
-	BatchSize int
-	// PollInterval is the idle wait between empty Changelog reads
-	// (default pipeline.DefaultPollInterval).
-	PollInterval time.Duration
-	// Endpoint is the msgq endpoint the collector's publisher binds
-	// (default "inproc://collector-mdt<N>").
-	Endpoint string
-	// Router, when non-nil, switches the collector to clustered routing:
-	// each resolved batch is split by the store partition function and
-	// every slice is published to the partition owner's inbox topic. Nil
-	// (the default) publishes whole batches on the classic per-MDT topic.
-	// With Parts() == 1 the whole batch routes to the single owner
-	// unsplit, so a one-node cluster receives the exact bytes a classic
-	// aggregator would.
-	Router Router
 	// EventOverhead is the accounted processing cost per event beyond
 	// resolution (parsing, queueing; default 3µs).
 	EventOverhead time.Duration
@@ -114,38 +108,50 @@ type CollectorOptions struct {
 	// pressure of larger tables; 0 derives it from CacheSize (see
 	// resolve.LookupCost).
 	CacheLookupCost time.Duration
+	// BatchSize bounds records per Changelog read (default
+	// pipeline.DefaultChangelogBatch), or events per DSI batch (default
+	// pipeline.DefaultLocalBatch).
+	BatchSize int
+	// PollInterval is the idle wait between empty Changelog reads and
+	// between delivery retries (default pipeline.DefaultPollInterval).
+	PollInterval time.Duration
+	// Endpoint is the msgq endpoint the collector's publisher binds
+	// (default "inproc://collector-<source>", e.g. "collector-mdt0").
+	Endpoint string
+	// Router, when non-nil, switches the collector to clustered routing:
+	// each captured batch is split by the store partition function and
+	// every slice is published to the partition owner's inbox topic. Nil
+	// (the default) publishes whole batches on the collector's own topic.
+	// With Parts() == 1 the whole batch routes to the single owner
+	// unsplit, so a one-node cluster receives the exact bytes a classic
+	// aggregator would.
+	Router Router
 	// Context aborts the collector when canceled (Close remains the
 	// graceful path). Nil means Background.
 	Context context.Context
 	// Telemetry, when non-nil, mirrors the collector into the unified
-	// registry under "fsmon.collector.mdt<N>" and records per-stage
-	// latency histograms. Nil (the default) costs nothing.
+	// registry — under "fsmon.collector.mdt<N>" for a Changelog source,
+	// "fsmon.mount.<name>" for a mounted DSI — records per-stage latency
+	// histograms, and stamps and traces captured batches. Nil (the
+	// default) costs nothing.
 	Telemetry *telemetry.Registry
 	// Logger receives component-tagged structured logs; nil discards.
 	Logger *slog.Logger
 }
 
-func (o CollectorOptions) withDefaults() CollectorOptions {
-	if o.BatchSize <= 0 {
-		o.BatchSize = pipeline.DefaultChangelogBatch
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = pipeline.DefaultPollInterval
-	}
-	if o.Endpoint == "" {
-		o.Endpoint = fmt.Sprintf("inproc://collector-mdt%d", o.MDT)
-	}
-	if o.ResolveWorkers <= 0 {
-		o.ResolveWorkers = pipeline.DefaultResolveWorkers
-	}
-	return o
-}
-
 // CollectorStats is a snapshot of one collector's counters.
 type CollectorStats struct {
-	MDT             int
+	// Source names the capture source: "mdt<N>" or "mount.<name>" (the
+	// collector's topic is TopicPrefix + Source).
+	Source string
+	// MDT is the Changelog source's MDT index (0 for a mounted DSI).
+	MDT int
+	// RecordsRead counts Changelog records read, or events drained from
+	// a mounted DSI.
 	RecordsRead     uint64
 	EventsPublished uint64
+	// Dropped counts events a mounted DSI lost inside its backend.
+	Dropped uint64
 	// Fid2PathCalls counts fid2path tool invocations.
 	Fid2PathCalls uint64
 	// Fid2PathStale counts invocations that failed with ErrStaleFID —
@@ -159,62 +165,77 @@ type CollectorStats struct {
 	BusyTime       time.Duration
 	Utilization    float64
 	ChangelogLag   int // records retained behind the collector
-	// Pipeline is the per-stage view (changelog-read → resolve → publish).
+	// Pipeline is the per-stage view (changelog-read → resolve → publish,
+	// or collect → publish).
 	Pipeline []pipeline.Stats
 }
 
-// readBatch is one Changelog read travelling between stages: the raw
-// records, the purge cursor covering them, and the wall-clock capture
-// stamp carried on the published batch for latency tracing (0 when the
-// collector is untraced).
-type readBatch struct {
-	recs  []lustre.Record
-	since uint64
-	stamp int64
-}
-
-// pubBatch is a resolved batch awaiting publication; blk may be nil or
-// empty (e.g. a read of only MARK records) in which case only the purge
-// cursor advances. The capture stamp and any sampled span chain ride inside
-// the block.
+// pubBatch is a captured batch awaiting publication; blk may be nil or
+// empty (e.g. a Changelog read of only MARK records) in which case only
+// the source's ack runs. since is the Changelog purge cursor covering the
+// batch. The capture stamp and any sampled span chain ride inside the
+// block.
 type pubBatch struct {
 	blk   *events.Block
 	since uint64
 }
 
-// Collector extracts, processes, and publishes one MDS's events as a
-// changelog-read → resolve → publish pipeline.
+// captureSource is where a Collector's batches come from. Exactly two
+// implementations exist: changelogSource (a Lustre MDT's Changelog,
+// resolved by Algorithm 1) and dsiSource (a mounted DSI's standardized
+// stream, rewritten into the mount's prefix).
+type captureSource interface {
+	// capture adds the source's stages to c's pipeline, registers its
+	// telemetry, and returns the flow of captured batches. Each non-empty
+	// batch has passed through c.sealCapture.
+	capture(c *Collector) pipeline.Flow[pubBatch]
+	// ack runs once the publish stage has delivered every event of pb
+	// (at once for a nil or empty batch).
+	ack(pb pubBatch)
+	// stats fills the source's fields of st.
+	stats(st *CollectorStats)
+	// resetAccounting restarts the source's utilization window.
+	resetAccounting()
+	// close stops the source around drain, which drains the pipeline.
+	close(drain func())
+}
+
+// Collector captures one storage source's events and publishes them to
+// the aggregation tier as a capture → publish pipeline.
 type Collector struct {
-	opts   CollectorOptions
-	log    *lustre.Changelog
-	res    *resolve.Resolver
-	pub    *msgq.Pub
-	topic  string
-	reader string
+	opts      CollectorOptions
+	src       captureSource
+	source    string // CollectorStats.Source
+	telPrefix string // "fsmon.collector.mdt<N>" or "fsmon.mount.<name>"
+	pub       *msgq.Pub
+	topic     string
 
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block]
 
-	recordsRead atomic.Uint64
-	published   atomic.Uint64
+	published atomic.Uint64
 
 	slog      *slog.Logger
 	traced    bool                 // stamp batches at capture (telemetry attached)
-	resolveUS *telemetry.Histogram // per-batch resolve stage wall time
 	publishUS *telemetry.Histogram // per-batch publish stage wall time
 
 	closeOnce sync.Once
 }
 
-// NewCollector creates and starts a collector.
+// NewCollector creates and starts a collector over one MDT's Changelog.
 func NewCollector(opts CollectorOptions) (*Collector, error) {
-	opts = opts.withDefaults()
 	if opts.Cluster == nil {
 		return nil, errors.New("scalable: CollectorOptions.Cluster is required")
 	}
 	log, err := opts.Cluster.Changelog(opts.MDT)
 	if err != nil {
 		return nil, err
+	}
+	if opts.ResolveWorkers <= 0 {
+		opts.ResolveWorkers = pipeline.DefaultResolveWorkers
+	}
+	if opts.BatchSize <= 0 {
+		opts.BatchSize = pipeline.DefaultChangelogBatch
 	}
 	res, err := resolve.New(resolve.Options{
 		Backend:         opts.Cluster,
@@ -229,44 +250,61 @@ func NewCollector(opts CollectorOptions) (*Collector, error) {
 	if err != nil {
 		return nil, err
 	}
+	source := fmt.Sprintf("mdt%d", opts.MDT)
+	return newCollector(opts, source, "fsmon.collector."+source, &changelogSource{log: log, res: res})
+}
+
+// newDSICollector creates and starts a collector over a mounted DSI,
+// publishing its events rewritten under prefix (a clean mount prefix).
+// The collector owns d: Close closes it.
+func newDSICollector(prefix string, d dsi.DSI, opts CollectorOptions) (*Collector, error) {
+	if opts.BatchSize <= 0 {
+		opts.BatchSize = pipeline.DefaultLocalBatch
+	}
+	source := "mount." + mount.PointName(prefix)
+	return newCollector(opts, source, "fsmon."+source, &dsiSource{prefix: prefix, dsi: d})
+}
+
+// newCollector binds the publisher and starts src's capture stages
+// feeding the shared publish stage. The collector publishes on
+// TopicPrefix + source and mirrors into telemetry under telPrefix.
+func newCollector(opts CollectorOptions, source, telPrefix string, src captureSource) (*Collector, error) {
+	if opts.PollInterval <= 0 {
+		opts.PollInterval = pipeline.DefaultPollInterval
+	}
+	if opts.Endpoint == "" {
+		opts.Endpoint = "inproc://collector-" + source
+	}
 	pub := msgq.NewPub(msgq.WithBlockOnFull()) // §V-D2: no event loss — queue, don't drop
 	if err := pub.Bind(opts.Endpoint); err != nil {
 		return nil, err
 	}
 	c := &Collector{
-		opts:  opts,
-		log:   log,
-		res:   res,
-		pub:   pub,
-		topic: fmt.Sprintf("%smdt%d", TopicPrefix, opts.MDT),
-		pool:  pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset),
+		opts:      opts,
+		src:       src,
+		source:    source,
+		telPrefix: telPrefix,
+		pub:       pub,
+		topic:     TopicPrefix + source,
+		pool:      pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset),
+		slog:      telemetry.ComponentLogger(opts.Logger, "collector", "source", source),
 	}
-	c.reader = log.Register()
-	c.slog = telemetry.ComponentLogger(opts.Logger, "collector", "mdt", opts.MDT)
-	c.initTelemetry(opts.Telemetry)
-
+	// Hot-path instruments must exist before any stage starts: stage
+	// goroutines read them without synchronization. Untraced collectors
+	// publish unstamped batches and pay no wire or clock cost.
+	reg := opts.Telemetry
+	if reg != nil {
+		c.publishUS = reg.Histogram(c.telPrefix+".publish_us", nil)
+		c.traced = true
+	}
 	c.pipe = pipeline.New(opts.Context)
-	read := pipeline.Source(c.pipe, "changelog-read", pipeline.DefaultBatchDepth, c.readLoop)
-	resolved := pipeline.MapN(c.pipe, "resolve", pipeline.DefaultBatchDepth, opts.ResolveWorkers, read, c.resolveBatch)
-	pipeline.Sink(c.pipe, "publish", resolved, c.publishBatch)
-	c.registerTelemetry(opts.Telemetry)
-	c.slog.Debug("collector started", "endpoint", c.pub.Addr(), "workers", opts.ResolveWorkers)
-	return c, nil
-}
-
-// initTelemetry creates the hot-path instruments and arms capture
-// stamping. It must run before the pipeline is built: stage goroutines
-// read these fields without synchronization, so they have to be in place
-// before any stage starts. No-op when reg is nil — untraced collectors
-// publish unstamped batches and pay no wire or clock cost.
-func (c *Collector) initTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+	pipeline.Sink(c.pipe, "publish", src.capture(c), c.publishBatch)
+	if reg != nil {
+		c.pipe.RegisterTelemetry(reg, c.telPrefix+".pipeline")
+		msgq.RegisterPubTelemetry(reg, c.telPrefix+".pub", c.pub)
 	}
-	prefix := fmt.Sprintf("fsmon.collector.mdt%d", c.opts.MDT)
-	c.resolveUS = reg.Histogram(prefix+".resolve_us", nil)
-	c.publishUS = reg.Histogram(prefix+".publish_us", nil)
-	c.traced = true
+	c.slog.Debug("collector started", "endpoint", c.pub.Addr())
+	return c, nil
 }
 
 // traceN resolves the effective span-sampling rate at use time rather
@@ -285,131 +323,50 @@ func (c *Collector) audit() *telemetry.Audit {
 	return c.opts.Telemetry.Audit()
 }
 
-// registerTelemetry mirrors the collector into reg under
-// "fsmon.collector.mdt<N>": GaugeFunc mirrors of every existing counter
-// (pipeline stages, resolver, cache, publisher fan-out). Runs after the
-// pipeline is built so the mirrors can close over live stages. No-op when
-// reg is nil.
-func (c *Collector) registerTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+// stamp returns the wall-clock capture mark for a batch captured now.
+// With telemetry attached the published batch carries it, so downstream
+// tiers (and other processes) can measure latency from this moment.
+// Untraced collectors leave the stamp at zero, which keeps the wire
+// encoding byte-identical to an uninstrumented build.
+func (c *Collector) stamp() int64 {
+	if !c.traced {
+		return 0
 	}
-	prefix := fmt.Sprintf("fsmon.collector.mdt%d", c.opts.MDT)
-	reg.GaugeFunc(prefix+".records_read", func() float64 { return float64(c.recordsRead.Load()) })
-	reg.GaugeFunc(prefix+".events_published", func() float64 { return float64(c.published.Load()) })
-	reg.GaugeFunc(prefix+".changelog_lag", func() float64 { return float64(c.log.Len()) })
-	c.res.RegisterTelemetry(reg, prefix+".resolver")
-	c.pipe.RegisterTelemetry(reg, prefix+".pipeline")
-	msgq.RegisterPubTelemetry(reg, prefix+".pub", c.pub)
+	return telemetry.Stamp()
 }
 
-// Endpoint returns the publisher endpoint consumers should connect to.
-func (c *Collector) Endpoint() string { return c.pub.Addr() }
-
-// Topic returns the topic this collector publishes under.
-func (c *Collector) Topic() string { return c.topic }
-
-// Resolver exposes the collector's shared resolution layer (stats,
-// accounting).
-func (c *Collector) Resolver() *resolve.Resolver { return c.res }
-
-// readLoop is the changelog-read source stage (§IV-2). It does not
-// consume Changelog records while nobody is subscribed: PUB/SUB gives no
-// delivery guarantee without a subscriber, and purging unconsumed records
-// would lose events if the aggregator attaches late or restarts mid-run.
-// The gate guards every batch, so an aggregator crash pauses collection
-// (the Changelog buffers) rather than losing events.
-func (c *Collector) readLoop(ctx context.Context, emit func(readBatch) bool) error {
-	idle := time.NewTimer(c.opts.PollInterval)
-	defer idle.Stop()
-	var since uint64
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if err := c.pub.WaitSubscribed(ctx); err != nil {
-			return nil
-		}
-		recs := c.log.Read(since, c.opts.BatchSize)
-		if len(recs) == 0 {
-			idle.Reset(c.opts.PollInterval)
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-idle.C:
-			}
-			continue
-		}
-		since = recs[len(recs)-1].Index
-		c.recordsRead.Add(uint64(len(recs)))
-		// With telemetry attached, stamp the batch at capture: the
-		// published batch carries this wall-clock mark, so downstream
-		// tiers (and other processes) can measure latency from this
-		// moment. Untraced collectors leave the stamp at zero, which
-		// keeps the wire encoding byte-identical to an uninstrumented
-		// build.
-		var stamp int64
-		if c.traced {
-			stamp = telemetry.Stamp()
-		}
-		if !emit(readBatch{recs: recs, since: since, stamp: stamp}) {
-			return nil
-		}
-	}
-}
-
-// resolveBatch is the resolve stage: Algorithm 1 over every record of one
-// read via the shared resolver, appending directly into a pooled event
-// block — the strings land in the block's arena once and are never copied
-// again on this process's hot path. Up to ResolveWorkers batches resolve
-// concurrently (MapN re-sequences the outputs, so publish order stays
-// Changelog order).
-func (c *Collector) resolveBatch(_ context.Context, rb readBatch) (pubBatch, bool) {
-	var start time.Time
-	if c.resolveUS != nil {
-		start = time.Now()
-	}
-	blk := c.pool.Get()
-	c.res.TranslateBlock(blk, rb.recs)
-	if c.resolveUS != nil {
-		c.resolveUS.ObserveSince(start)
-	}
-	if blk.Len() == 0 {
-		c.pool.Put(blk)
-		return pubBatch{since: rb.since}, true
-	}
-	// The capture boundary of the conservation audit: every resolved
-	// event is accounted here, before any publish can fail or split.
+// sealCapture runs the capture-boundary steps every source shares on a
+// non-empty captured batch: the conservation audit counts it before any
+// publish can fail or split, the capture stamp is set, and deterministic
+// 1-in-N trace sampling opens the span chain on the first sampled event —
+// collect at the capture stamp, resolve now. Keying on the event's
+// identity hash means the same event is picked at any batch boundary, so
+// a test (or a rerun) traces the same chain.
+func (c *Collector) sealCapture(blk *events.Block, stamp int64) {
 	c.audit().Captured(blk.Len())
-	blk.SetStamp(rb.stamp)
-	// Deterministic 1-in-N trace sampling: the first sampled event in the
-	// batch opens the span chain — collect at the capture stamp, resolve
-	// now. Keying on the event's identity hash means the same event is
-	// picked at any batch boundary, so a test (or a rerun) traces the
-	// same chain.
-	if traceN := c.traceN(); traceN > 0 && rb.stamp != 0 {
+	blk.SetStamp(stamp)
+	if traceN := c.traceN(); traceN > 0 && stamp != 0 {
 		for i := 0; i < blk.Len(); i++ {
 			if key := blk.EventKey(i); traceN == 1 || key%uint64(traceN) == 0 {
 				tr := &events.BatchTrace{ID: key}
-				tr.Append(events.TierCollect, rb.stamp)
+				tr.Append(events.TierCollect, stamp)
 				tr.Append(events.TierResolve, time.Now().UnixNano())
 				blk.SetTrace(tr)
 				break
 			}
 		}
 	}
-	return pubBatch{blk: blk, since: rb.since}, true
 }
 
-// publishBatch is the publish sink stage: marshal, publish to at least
-// one subscriber, then purge the Changelog up to the batch's cursor —
-// "after processing a batch of file system events from the Changelog, a
-// collector will purge the Changelogs." Purging strictly after delivery
-// preserves the no-loss guarantee: if the aggregator is gone (or, routed,
-// any slice's owner is) the batch's records stay in the Changelog for the
-// next collector.
+// Endpoint returns the publisher endpoint consumers should connect to.
+func (c *Collector) Endpoint() string { return c.pub.Addr() }
+
+// publishBatch is the publish sink stage: deliver the batch to at least
+// one subscriber, then let the source acknowledge it. Only a delivered
+// batch is acknowledged, which is what lets the Changelog source purge
+// strictly after delivery.
 func (c *Collector) publishBatch(ctx context.Context, pb pubBatch) {
-	purge := true
+	delivered := true
 	if blk := pb.blk; blk != nil && blk.Len() > 0 {
 		var start time.Time
 		if c.publishUS != nil {
@@ -421,13 +378,12 @@ func (c *Collector) publishBatch(ctx context.Context, pb pubBatch) {
 			tr.Append(events.TierPublish, time.Now().UnixNano())
 			blk.MarkTraceDirty()
 		}
-		var published bool
 		if c.opts.Router != nil {
-			published = c.publishRouted(ctx, blk)
+			delivered = c.publishRouted(ctx, blk)
 		} else {
 			var shared bool
-			published, shared = c.deliver(ctx, c.topic, blk)
-			if published {
+			delivered, shared = c.deliver(ctx, c.topic, blk)
+			if delivered {
 				c.published.Add(uint64(blk.Len()))
 				c.audit().Published(blk.Len())
 			}
@@ -435,15 +391,12 @@ func (c *Collector) publishBatch(ctx context.Context, pb pubBatch) {
 				c.pool.Put(blk)
 			}
 		}
-		purge = published
-		if published && c.publishUS != nil {
+		if delivered && c.publishUS != nil {
 			c.publishUS.ObserveSince(start)
 		}
 	}
-	if purge {
-		if err := c.log.Clear(c.reader, pb.since); err != nil {
-			c.slog.Warn("changelog purge failed", "since", pb.since, "err", err)
-		}
+	if delivered {
+		c.src.ack(pb)
 	}
 }
 
@@ -518,7 +471,7 @@ func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 		}
 		return ok
 	}
-	// Path-hash split over the resolved block, mirroring the partitioned
+	// Path-hash split over the captured block, mirroring the partitioned
 	// aggregator's router stage: one pooled view per non-empty partition
 	// over the same arena — no event structs, no string copies. The views
 	// adopt blk's own arena by reference, so blk must outlive every view:
@@ -580,33 +533,252 @@ func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 
 // Stats returns a snapshot of the collector's counters.
 func (c *Collector) Stats() CollectorStats {
-	rs := c.res.Stats()
-	return CollectorStats{
-		MDT:             c.opts.MDT,
-		RecordsRead:     c.recordsRead.Load(),
+	st := CollectorStats{
+		Source:          c.source,
 		EventsPublished: c.published.Load(),
-		Fid2PathCalls:   rs.Fid2PathCalls,
-		Fid2PathStale:   rs.Fid2PathStale,
-		Fid2PathErrors:  rs.Fid2PathErrors,
-		Cache:           rs.Cache,
-		BusyTime:        c.res.Busy(),
-		Utilization:     c.res.Utilization(),
-		ChangelogLag:    c.log.Len(),
 		Pipeline:        c.pipe.Stats(),
 	}
+	c.src.stats(&st)
+	return st
 }
 
 // ResetAccounting restarts the utilization window (benchmarks call this at
 // the start of a measurement interval).
-func (c *Collector) ResetAccounting() { c.res.ResetAccounting() }
+func (c *Collector) ResetAccounting() { c.src.resetAccounting() }
 
-// Close drains the collector's stages in order (read stops, in-flight
-// batches resolve and publish), releases its Changelog reader, and closes
-// the publisher.
+// Close stops the source and drains the collector's stages in order
+// (in-flight batches capture and publish), then closes the publisher.
 func (c *Collector) Close() {
 	c.closeOnce.Do(func() {
-		c.pipe.Drain(pipeline.DefaultDrainGrace)
-		_ = c.log.Deregister(c.reader)
+		c.src.close(func() { c.pipe.Drain(pipeline.DefaultDrainGrace) })
 		c.pub.Close()
 	})
+}
+
+// readBatch is one Changelog read travelling to the resolve stage: the
+// raw records, the purge cursor covering them, and the capture stamp.
+type readBatch struct {
+	recs  []lustre.Record
+	since uint64
+	stamp int64
+}
+
+// changelogSource captures one MDT's Changelog as a changelog-read →
+// resolve (Algorithm 1) stage pair, and purges the Changelog once a batch
+// is delivered.
+type changelogSource struct {
+	c      *Collector
+	log    *lustre.Changelog
+	res    *resolve.Resolver
+	reader string
+
+	recordsRead atomic.Uint64
+	resolveUS   *telemetry.Histogram // per-batch resolve stage wall time
+}
+
+func (s *changelogSource) capture(c *Collector) pipeline.Flow[pubBatch] {
+	s.c = c
+	s.reader = s.log.Register()
+	prefix := c.telPrefix
+	if reg := c.opts.Telemetry; reg != nil {
+		s.resolveUS = reg.Histogram(prefix+".resolve_us", nil)
+		reg.GaugeFunc(prefix+".records_read", func() float64 { return float64(s.recordsRead.Load()) })
+		reg.GaugeFunc(prefix+".events_published", func() float64 { return float64(c.published.Load()) })
+		reg.GaugeFunc(prefix+".changelog_lag", func() float64 { return float64(s.log.Len()) })
+		s.res.RegisterTelemetry(reg, prefix+".resolver")
+	}
+	read := pipeline.Source(c.pipe, "changelog-read", pipeline.DefaultBatchDepth, s.readLoop)
+	return pipeline.MapN(c.pipe, "resolve", pipeline.DefaultBatchDepth, c.opts.ResolveWorkers, read, s.resolveBatch)
+}
+
+// readLoop is the changelog-read source stage (§IV-2). It does not
+// consume Changelog records while nobody is subscribed: PUB/SUB gives no
+// delivery guarantee without a subscriber, and purging unconsumed records
+// would lose events if the aggregator attaches late or restarts mid-run.
+// The gate guards every batch, so an aggregator crash pauses collection
+// (the Changelog buffers) rather than losing events.
+func (s *changelogSource) readLoop(ctx context.Context, emit func(readBatch) bool) error {
+	c := s.c
+	idle := time.NewTimer(c.opts.PollInterval)
+	defer idle.Stop()
+	var since uint64
+	for {
+		if ctx.Err() != nil {
+			return nil
+		}
+		if err := c.pub.WaitSubscribed(ctx); err != nil {
+			return nil
+		}
+		recs := s.log.Read(since, c.opts.BatchSize)
+		if len(recs) == 0 {
+			idle.Reset(c.opts.PollInterval)
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-idle.C:
+			}
+			continue
+		}
+		since = recs[len(recs)-1].Index
+		s.recordsRead.Add(uint64(len(recs)))
+		if !emit(readBatch{recs: recs, since: since, stamp: c.stamp()}) {
+			return nil
+		}
+	}
+}
+
+// resolveBatch is the resolve stage: Algorithm 1 over every record of one
+// read via the shared resolver, appending directly into a pooled event
+// block — the strings land in the block's arena once and are never copied
+// again on this process's hot path. Up to ResolveWorkers batches resolve
+// concurrently (MapN re-sequences the outputs, so publish order stays
+// Changelog order).
+func (s *changelogSource) resolveBatch(_ context.Context, rb readBatch) (pubBatch, bool) {
+	var start time.Time
+	if s.resolveUS != nil {
+		start = time.Now()
+	}
+	blk := s.c.pool.Get()
+	s.res.TranslateBlock(blk, rb.recs)
+	if s.resolveUS != nil {
+		s.resolveUS.ObserveSince(start)
+	}
+	if blk.Len() == 0 {
+		s.c.pool.Put(blk)
+		return pubBatch{since: rb.since}, true
+	}
+	s.c.sealCapture(blk, rb.stamp)
+	return pubBatch{blk: blk, since: rb.since}, true
+}
+
+// ack purges the Changelog up to the batch's cursor — "after processing a
+// batch of file system events from the Changelog, a collector will purge
+// the Changelogs." Purging strictly after delivery preserves the no-loss
+// guarantee: if the aggregator is gone (or, routed, any slice's owner is)
+// the batch's records stay in the Changelog for the next collector.
+func (s *changelogSource) ack(pb pubBatch) {
+	if err := s.log.Clear(s.reader, pb.since); err != nil {
+		s.c.slog.Warn("changelog purge failed", "since", pb.since, "err", err)
+	}
+}
+
+func (s *changelogSource) stats(st *CollectorStats) {
+	rs := s.res.Stats()
+	st.MDT = s.c.opts.MDT
+	st.RecordsRead = s.recordsRead.Load()
+	st.Fid2PathCalls = rs.Fid2PathCalls
+	st.Fid2PathStale = rs.Fid2PathStale
+	st.Fid2PathErrors = rs.Fid2PathErrors
+	st.Cache = rs.Cache
+	st.BusyTime = s.res.Busy()
+	st.Utilization = s.res.Utilization()
+	st.ChangelogLag = s.log.Len()
+}
+
+func (s *changelogSource) resetAccounting() { s.res.ResetAccounting() }
+
+// close drains the stages (read stops, in-flight batches resolve, publish
+// and purge), then releases the Changelog reader.
+func (s *changelogSource) close(drain func()) {
+	drain()
+	_ = s.log.Deregister(s.reader)
+}
+
+// dsiSource captures a mounted DSI: it drains the already-standardized
+// event stream, rewrites each event into the mount's prefix of the
+// unified namespace, and batches into pooled blocks bounded by size and
+// by pipeline.DefaultBatchInterval age. Its acks are no-ops: the DSI's
+// channel is the holding buffer while delivery waits for a subscriber.
+type dsiSource struct {
+	c      *Collector
+	prefix string
+	dsi    dsi.DSI
+
+	captured atomic.Uint64
+}
+
+func (s *dsiSource) capture(c *Collector) pipeline.Flow[pubBatch] {
+	s.c = c
+	if reg := c.opts.Telemetry; reg != nil {
+		// The per-mount paper-parity capture counters.
+		prefix := c.telPrefix
+		reg.GaugeFunc(prefix+".captured", func() float64 { return float64(s.captured.Load()) })
+		reg.GaugeFunc(prefix+".published", func() float64 { return float64(c.published.Load()) })
+		reg.GaugeFunc(prefix+".dropped", func() float64 { return float64(s.dsi.Dropped()) })
+	}
+	c.slog.Debug("mounted DSI", "prefix", s.prefix, "backend", s.dsi.Name())
+	return pipeline.Source(c.pipe, "collect", pipeline.DefaultBatchDepth, s.collectLoop)
+}
+
+// collectLoop is the collect source stage: drain the DSI, rewrite each
+// event into the unified namespace, and emit size- or age-bounded batches.
+func (s *dsiSource) collectLoop(ctx context.Context, emit func(pubBatch) bool) error {
+	c := s.c
+	flush := time.NewTimer(pipeline.DefaultBatchInterval)
+	defer flush.Stop()
+	var (
+		blk   *events.Block
+		stamp int64
+	)
+	send := func() bool {
+		if blk == nil {
+			return true
+		}
+		b := blk
+		blk = nil
+		if b.Len() == 0 {
+			c.pool.Put(b)
+			return true
+		}
+		c.sealCapture(b, stamp)
+		return emit(pubBatch{blk: b})
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			send()
+			return nil
+		case e, ok := <-s.dsi.Events():
+			if !ok {
+				send()
+				return nil
+			}
+			if blk == nil {
+				blk, stamp = c.pool.Get(), c.stamp()
+			}
+			s.captured.Add(1)
+			if err := blk.AppendEvent(mount.Rewrite("/", s.prefix, e)); err != nil {
+				// Wire-limit violations only (a 64KiB path component) —
+				// drop the event, keep the batch.
+				c.slog.Error("dropping unencodable event", "err", err)
+			}
+			if blk.Len() >= c.opts.BatchSize {
+				if !send() {
+					return nil
+				}
+				flush.Reset(pipeline.DefaultBatchInterval)
+			}
+		case <-flush.C:
+			if !send() {
+				return nil
+			}
+			flush.Reset(pipeline.DefaultBatchInterval)
+		}
+	}
+}
+
+func (s *dsiSource) ack(pubBatch) {}
+
+func (s *dsiSource) stats(st *CollectorStats) {
+	st.RecordsRead = s.captured.Load()
+	st.Dropped = s.dsi.Dropped()
+}
+
+func (s *dsiSource) resetAccounting() {}
+
+// close closes the DSI first, so its buffered events drain through
+// collect → publish before the stages stop.
+func (s *dsiSource) close(drain func()) {
+	_ = s.dsi.Close()
+	drain()
 }

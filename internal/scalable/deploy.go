@@ -2,11 +2,14 @@ package scalable
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"time"
 
 	"fsmonitor/internal/cluster"
+	"fsmonitor/internal/dsi"
+	"fsmonitor/internal/dsi/mount"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
@@ -14,9 +17,11 @@ import (
 	"fsmonitor/internal/telemetry"
 )
 
-// DeployOptions configures a full scalable-monitor deployment over one
-// cluster: a collector per MDS, the aggregator, and optionally the TCP
-// recovery service.
+// DeployOptions configures a full scalable-monitor deployment: a collector
+// per storage source (every MDS of a Lustre cluster, or every mounted
+// DSI), the aggregation tier, and optionally the TCP recovery service.
+// The Lustre-only fields (MountPoint through ResolveWorkers) are ignored
+// by DeployMounts.
 type DeployOptions struct {
 	// MountPoint is the client mount path events are reported under.
 	MountPoint string
@@ -37,19 +42,15 @@ type DeployOptions struct {
 	// Transport selects endpoints: "inproc" (default) or "tcp"
 	// (127.0.0.1 with kernel-assigned ports).
 	Transport string
-	// Store is the aggregator's reliable store (nil = in-memory).
-	// A plain Store is one partition; to combine partitioning with a
-	// custom engine, pass Engine instead.
-	Store *eventstore.Store
-	// Engine is the aggregator's reliable store engine; takes precedence
-	// over Store.
+	// Engine is the aggregator's reliable store engine (nil = an
+	// in-memory engine with StorePartitions partitions).
 	Engine eventstore.Engine
 	// StorePartitions shards the aggregation tier: the reliable store,
 	// the aggregator's store lanes, and the republish topics all split
 	// into this many partitions keyed by MDT index (default
 	// pipeline.DefaultStorePartitions = 1, the paper's single serial
 	// store — Tables IV/VII re-runs stay calibrated). Ignored when
-	// Store/Engine supply their own partition count.
+	// Engine supplies its own partition count.
 	StorePartitions int
 	// ClusterNodes deploys the aggregation tier as a cluster of this many
 	// aggregator nodes (internal/cluster) instead of the single
@@ -57,8 +58,8 @@ type DeployOptions struct {
 	// owner's inbox topic, every node stores and republishes the
 	// partitions it owns, and consumers recover through a fan-out across
 	// all nodes' recovery servers. 0 (the default) keeps the classic
-	// single-aggregator deployment; Store/Engine are ignored when
-	// clustered (use ClusterStore). StorePartitions is raised to at least
+	// single-aggregator deployment; Engine is ignored when clustered (use
+	// ClusterStore). StorePartitions is raised to at least
 	// ClusterNodes so every node owns work.
 	ClusterNodes int
 	// ClusterJoin lists ctl inboxes of an existing cluster's members:
@@ -92,7 +93,8 @@ type DeployOptions struct {
 	// node (":0" picks free ports). Every server is shut down gracefully
 	// by Monitor.Close. Requires Telemetry.
 	ClusterTelemetryAddrs []string
-	// BatchSize overrides the collectors' Changelog read batch.
+	// BatchSize overrides the collectors' batch bound
+	// (CollectorOptions.BatchSize).
 	BatchSize int
 	// PollInterval overrides the collectors' idle poll.
 	PollInterval time.Duration
@@ -100,9 +102,9 @@ type DeployOptions struct {
 	// the graceful path). Nil means Background.
 	Context context.Context
 	// Telemetry, when non-nil, mirrors every deployed component into the
-	// unified registry (fsmon.collector.mdt<N>.*, fsmon.aggregator.*,
-	// fsmon.store.p<i>.*, fsmon.process.*) and enables event latency
-	// tracing. Nil (the default) costs nothing.
+	// unified registry (fsmon.collector.mdt<N>.* or fsmon.mount.<name>.*,
+	// fsmon.aggregator.*, fsmon.store.p<i>.*, fsmon.process.*) and enables
+	// event latency tracing. Nil (the default) costs nothing.
 	Telemetry *telemetry.Registry
 	// Logger receives component-tagged structured logs from every
 	// deployed service; nil discards.
@@ -117,7 +119,7 @@ type Monitor struct {
 	// Nodes are the in-process members of the clustered aggregation tier
 	// (DeployOptions.ClusterNodes > 0).
 	Nodes      []*cluster.Node
-	cluster    *lustre.Cluster
+	cluster    *lustre.Cluster // the monitored cluster (Deploy only)
 	opts       DeployOptions
 	router     *cluster.Membership // collector-side observer view (clustered only)
 	recoveries []*RecoveryServer   // one per in-process node (clustered only)
@@ -125,41 +127,109 @@ type Monitor struct {
 	telSrvs    []*telemetry.Server // per-node telemetry HTTP servers (clustered only)
 }
 
+// collectorCtor starts one collector of a deployment from the options
+// every collector shares: endpoint, router, batching, context, telemetry
+// and logger.
+type collectorCtor func(shared CollectorOptions) (*Collector, error)
+
 // Deploy starts a collector on every MDS of the cluster and an aggregator
 // subscribed to all of them — the Fig. 4 topology ("an aggregator service
 // on MGS that polls all MDSs concurrently and pushes all events in a
 // single queue to the clients").
-func Deploy(cluster *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
+func Deploy(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 	if opts.MountPoint == "" {
 		opts.MountPoint = "/mnt/lustre"
 	}
-	if opts.ClusterNodes > 0 || len(opts.ClusterJoin) > 0 || opts.ClusterListen != "" {
-		return deployCluster(cluster, opts)
-	}
-	m := &Monitor{cluster: cluster, opts: opts}
-	endpoints := make([]string, 0, cluster.NumMDS())
-	for i := 0; i < cluster.NumMDS(); i++ {
-		ep := ""
-		switch opts.Transport {
-		case "tcp":
-			ep = "tcp://127.0.0.1:0"
-		default:
-			ep = fmt.Sprintf("inproc://collector-%p-mdt%d", cluster, i)
+	ctors := make([]collectorCtor, lc.NumMDS())
+	for i := range ctors {
+		ctors[i] = func(o CollectorOptions) (*Collector, error) {
+			o.Cluster = lc
+			o.MDT = i
+			o.MountPoint = opts.MountPoint
+			o.CacheSize = opts.CacheSize
+			o.CacheShards = opts.CacheShards
+			o.NegativeTTL = opts.NegativeTTL
+			o.ResolveWorkers = opts.ResolveWorkers
+			return NewCollector(o)
 		}
-		col, err := NewCollector(CollectorOptions{
-			Cluster:        cluster,
-			MDT:            i,
-			MountPoint:     opts.MountPoint,
-			CacheSize:      opts.CacheSize,
-			CacheShards:    opts.CacheShards,
-			NegativeTTL:    opts.NegativeTTL,
-			ResolveWorkers: opts.ResolveWorkers,
-			Endpoint:       ep,
-			BatchSize:      opts.BatchSize,
-			PollInterval:   opts.PollInterval,
-			Context:        opts.Context,
-			Telemetry:      opts.Telemetry,
-			Logger:         opts.Logger,
+	}
+	m, err := deployTiers(opts, ctors)
+	if err != nil {
+		return nil, err
+	}
+	m.cluster = lc
+	return m, nil
+}
+
+// MountSource names one mounted backend for DeployMounts. The DSI is
+// typically opened through the dsi registry; the deployment owns it.
+type MountSource struct {
+	// Prefix is the unified-namespace mount point; its telemetry name is
+	// mount.PointName(Prefix).
+	Prefix string
+	// DSI is the opened backend to mount.
+	DSI dsi.DSI
+}
+
+// DeployMounts starts a collector per mounted backend feeding one
+// aggregation tier — the Fig. 4 topology with heterogeneous storage behind
+// the collectors: every mount's stream arrives at consumers through the
+// same store-and-republish tier, correctly prefixed into one namespace
+// rooted at "/". The tier is built exactly as Deploy builds it, so
+// ClusterNodes routes mounts through a cluster too.
+func DeployMounts(mounts []MountSource, opts DeployOptions) (*Monitor, error) {
+	if len(mounts) == 0 {
+		return nil, errors.New("scalable: DeployMounts needs at least one mount")
+	}
+	ctors := make([]collectorCtor, len(mounts))
+	seen := make(map[string]bool, len(mounts))
+	for i, ms := range mounts {
+		cp, err := mount.CleanPrefix(ms.Prefix)
+		if err != nil {
+			return nil, err
+		}
+		if seen[cp] {
+			return nil, fmt.Errorf("%w: %s", mount.ErrMounted, cp)
+		}
+		seen[cp] = true
+		if ms.DSI == nil {
+			return nil, fmt.Errorf("scalable: mount %s has no DSI", cp)
+		}
+		ctors[i] = func(o CollectorOptions) (*Collector, error) { return newDSICollector(cp, ms.DSI, o) }
+	}
+	return deployTiers(opts, ctors)
+}
+
+// deployTiers builds a deployment's tiers around the given collectors: with
+// cluster options set, the nodes and routing observer first (the
+// collectors route to them), then the collectors, then the nodes'
+// subscriptions and telemetry servers; otherwise the collectors, then one
+// aggregator subscribed to all of them.
+func deployTiers(opts DeployOptions, ctors []collectorCtor) (*Monitor, error) {
+	m := &Monitor{opts: opts}
+	clustered := opts.ClusterNodes > 0 || len(opts.ClusterJoin) > 0 || opts.ClusterListen != ""
+	var router Router
+	if clustered {
+		if err := m.startCluster(); err != nil {
+			m.Close()
+			return nil, err
+		}
+		router = m.router
+	}
+	endpoints := make([]string, 0, len(ctors))
+	for i, mk := range ctors {
+		ep := fmt.Sprintf("inproc://collector-%p-%d", m, i)
+		if opts.Transport == "tcp" {
+			ep = "tcp://127.0.0.1:0"
+		}
+		col, err := mk(CollectorOptions{
+			Endpoint:     ep,
+			Router:       router,
+			BatchSize:    opts.BatchSize,
+			PollInterval: opts.PollInterval,
+			Context:      opts.Context,
+			Telemetry:    opts.Telemetry,
+			Logger:       opts.Logger,
 		})
 		if err != nil {
 			m.Close()
@@ -168,25 +238,31 @@ func Deploy(cluster *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		m.Collectors = append(m.Collectors, col)
 		endpoints = append(endpoints, col.Endpoint())
 	}
-	aggEp := fmt.Sprintf("inproc://aggregator-%p", cluster)
-	if opts.Transport == "tcp" {
-		aggEp = "tcp://127.0.0.1:0"
+	if clustered {
+		if err := m.connectCluster(endpoints); err != nil {
+			m.Close()
+			return nil, err
+		}
+	} else {
+		aggEp := fmt.Sprintf("inproc://aggregator-%p", m)
+		if opts.Transport == "tcp" {
+			aggEp = "tcp://127.0.0.1:0"
+		}
+		agg, err := NewAggregator(AggregatorOptions{
+			CollectorEndpoints: endpoints,
+			Endpoint:           aggEp,
+			Engine:             opts.Engine,
+			StorePartitions:    opts.StorePartitions,
+			Context:            opts.Context,
+			Telemetry:          opts.Telemetry,
+			Logger:             opts.Logger,
+		})
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		m.Aggregator = agg
 	}
-	agg, err := NewAggregator(AggregatorOptions{
-		CollectorEndpoints: endpoints,
-		Endpoint:           aggEp,
-		Engine:             opts.Engine,
-		Store:              opts.Store,
-		StorePartitions:    opts.StorePartitions,
-		Context:            opts.Context,
-		Telemetry:          opts.Telemetry,
-		Logger:             opts.Logger,
-	})
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	m.Aggregator = agg
 	// Process-wide resource gauges ride the same registry so one snapshot
 	// answers both "how fast" and "at what cost" (Tables IV/VII).
 	metrics.Register(opts.Telemetry)

@@ -9,8 +9,6 @@ import (
 
 	"fsmonitor/internal/cluster"
 	"fsmonitor/internal/iface"
-	"fsmonitor/internal/lustre"
-	"fsmonitor/internal/metrics"
 	"fsmonitor/internal/pipeline"
 	"fsmonitor/internal/telemetry"
 )
@@ -83,13 +81,15 @@ func clusterBindHost(opts DeployOptions) string {
 	return "127.0.0.1"
 }
 
-// deployCluster is Deploy's clustered path: N aggregator nodes replace
-// the single Aggregator. The order matters — nodes first (and their
-// recovery servers, so the advertised address rides in the join hello),
-// then the routing observer (which needs a live member to join), then the
-// collectors (whose Router is the observer's view), and finally the
-// node-side subscriptions to the collectors.
-func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
+// startCluster is the clustered deployment's first half: N aggregator
+// nodes replace the single Aggregator. The order matters — nodes first
+// (and their recovery servers, so the advertised address rides in the
+// join hello), then the routing observer (which needs a live member to
+// join). The collectors come next, routed by the observer's view, and
+// connectCluster finishes with the node-side subscriptions to them. On
+// error the caller closes m.
+func (m *Monitor) startCluster() error {
+	opts := m.opts
 	nodes := opts.ClusterNodes
 	if nodes <= 0 {
 		nodes = 1
@@ -102,12 +102,12 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		// Every node must own at least one partition to contribute.
 		parts = nodes
 	}
-	m := &Monitor{cluster: lc, opts: opts, parts: parts}
+	m.parts = parts
 	dlog := telemetry.ComponentLogger(opts.Logger, "deploy")
 
 	prefix, err := clusterIDPrefix(opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Any cross-process configuration (listen bind, join addresses, an
 	// advertise host) forces TCP for every cluster socket: inproc and
@@ -143,8 +143,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 			Logger:    opts.Logger,
 		})
 		if err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 		m.Nodes = append(m.Nodes, n)
 		recBind := "127.0.0.1:0"
@@ -154,20 +153,17 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		rec, err := NewRecoveryServer(nodeRecoverySource{n}, recBind)
 		if err != nil {
 			n.Close()
-			m.Close()
-			return nil, err
+			return err
 		}
 		m.recoveries = append(m.recoveries, rec)
 		n.SetRecovery(cluster.AdvertiseEndpoint(rec.Addr(), opts.ClusterAdvertise))
 		if err := n.Start(); err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 	}
 	for _, n := range m.Nodes {
 		if err := n.Membership().WaitMembers(nodes, clusterReadyTimeout); err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 	}
 	if len(opts.ClusterJoin) > 0 {
@@ -178,8 +174,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		time.Sleep(2 * cluster.DefaultHeartbeatInterval)
 		for _, n := range m.Nodes {
 			if other, ok := n.Membership().Conflict(); ok {
-				m.Close()
-				return nil, fmt.Errorf("scalable: member ID %q already in use by a live cluster member at %s (set ClusterNodePrefix)", n.ID(), other.Endpoint)
+				return fmt.Errorf("scalable: member ID %q already in use by a live cluster member at %s (set ClusterNodePrefix)", n.ID(), other.Endpoint)
 			}
 		}
 	}
@@ -201,13 +196,11 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 			// with the cause now rather than with a coverage timeout.
 			for _, n := range m.Nodes {
 				if err := n.OpenError(); err != nil {
-					m.Close()
-					return nil, fmt.Errorf("scalable: %w", err)
+					return fmt.Errorf("scalable: %w", err)
 				}
 			}
 			if time.Now().After(deadline) {
-				m.Close()
-				return nil, fmt.Errorf("scalable: cluster owns %d/%d partitions after %v", owned, parts, clusterReadyTimeout)
+				return fmt.Errorf("scalable: cluster owns %d/%d partitions after %v", owned, parts, clusterReadyTimeout)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -245,64 +238,35 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		Logger:    opts.Logger,
 	})
 	if err != nil {
-		m.Close()
-		return nil, err
+		return err
 	}
 	m.router = router
 	router.Start()
 	if err := router.WaitMembers(nodes, clusterReadyTimeout); err != nil {
-		m.Close()
-		return nil, err
+		return err
 	}
 
-	endpoints := make([]string, 0, lc.NumMDS())
-	for i := 0; i < lc.NumMDS(); i++ {
-		ep := fmt.Sprintf("inproc://collector-%p-mdt%d", m, i)
-		if opts.Transport == "tcp" {
-			ep = "tcp://127.0.0.1:0"
-		}
-		col, err := NewCollector(CollectorOptions{
-			Cluster:        lc,
-			MDT:            i,
-			MountPoint:     opts.MountPoint,
-			CacheSize:      opts.CacheSize,
-			CacheShards:    opts.CacheShards,
-			NegativeTTL:    opts.NegativeTTL,
-			ResolveWorkers: opts.ResolveWorkers,
-			Endpoint:       ep,
-			Router:         router,
-			BatchSize:      opts.BatchSize,
-			PollInterval:   opts.PollInterval,
-			Context:        opts.Context,
-			Telemetry:      opts.Telemetry,
-			Logger:         opts.Logger,
-		})
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.Collectors = append(m.Collectors, col)
-		endpoints = append(endpoints, col.Endpoint())
-	}
+	return nil
+}
+
+// connectCluster subscribes every in-process node to the collectors'
+// endpoints and starts the per-node telemetry HTTP servers: each serves
+// the shared registry (and with it the /cluster/* plane), and every one is
+// tied to Monitor.Close — the fan-out, not just the first.
+func (m *Monitor) connectCluster(endpoints []string) error {
 	for _, n := range m.Nodes {
 		if err := n.ConnectCollectors(endpoints...); err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 	}
-	// Per-node telemetry HTTP servers: each serves the shared registry
-	// (and with it the /cluster/* plane), and every one is tied to
-	// Monitor.Close — the fan-out, not just the first.
-	for _, addr := range opts.ClusterTelemetryAddrs {
-		srv, err := telemetry.Serve(addr, opts.Telemetry)
+	for _, addr := range m.opts.ClusterTelemetryAddrs {
+		srv, err := telemetry.Serve(addr, m.opts.Telemetry)
 		if err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 		m.telSrvs = append(m.telSrvs, srv)
 	}
-	metrics.Register(opts.Telemetry)
-	return m, nil
+	return nil
 }
 
 // nodeRecoverySource adapts a cluster node to the recovery server's

@@ -106,11 +106,15 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 		var next func() ([]events.Event, error)
 		switch req.Topic {
 		case recoveryReqTopic:
-			seq := decodeSeq(req.Payload)
+			seq, ok := decodeSeq(req.Payload)
+			if !ok {
+				_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("bad cursor")})
+				return
+			}
 			next = s.scalarQuery(seq)
 		case recoveryVecReqTopic:
 			cursors := decodeSeqVector(req.Payload)
-			if cursors == nil {
+			if len(cursors) == 0 {
 				_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("bad cursor vector")})
 				return
 			}
