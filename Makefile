@@ -44,10 +44,16 @@ bench:
 
 # bench-smoke runs one iteration of the fast micro-benchmarks (resolver
 # scaling, cache contention, pipeline stages, aggregator partitions) as a
-# CI regression canary; the slow paper-table benches stay out of it.
+# CI regression canary; the slow paper-table benches stay out of it. The
+# local path gets a short fixed run of its own: the end-to-end monitor
+# (MonitorThroughputDirect: capture → resolution → store) and the
+# interface layer's Ingest (store append + delivery to one recursive
+# subscriber, 256-event batches).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'ResolveStage|GetOrLoad|AggregatorThroughput' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/
+	$(GO) test -run '^$$' -bench 'MonitorThroughputDirect$$' -benchtime 50000x -benchmem ./internal/bench/
+	$(GO) test -run '^$$' -bench '^BenchmarkIngest$$' -benchtime 2000x -benchmem ./internal/iface/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4
 # partitions, paced (AggregatorThroughput, 1µs accounted cost per event)

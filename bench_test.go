@@ -130,51 +130,6 @@ func BenchmarkLocalPipeline(b *testing.B) {
 	b.ReportMetric(float64(got)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkScalablePipeline measures the unpaced Lustre pipeline
-// (changelog → collector → aggregator → consumer).
-func BenchmarkScalablePipeline(b *testing.B) {
-	cluster := lustre.NewCluster(lustre.Config{NumMDS: 2, NumOSS: 2, OSTsPerOSS: 2, OSTSizeGB: 10})
-	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: 5000, PollInterval: 100 * time.Microsecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mon.Close()
-	con, err := mon.NewConsumer(iface.Filter{Recursive: true}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer con.Close()
-	cl := cluster.Client()
-	done := make(chan struct{})
-	got := 0
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case batch, ok := <-con.C():
-				if !ok {
-					return
-				}
-				got += len(batch)
-				if got >= b.N {
-					return
-				}
-			case <-time.After(5 * time.Second):
-				return
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cl.Create(fmt.Sprintf("/f%d", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	<-done
-	b.StopTimer()
-	b.ReportMetric(float64(got)/b.Elapsed().Seconds(), "events/s")
-}
-
 // BenchmarkEventCodec measures the wire codec on the batch path.
 func BenchmarkEventCodec(b *testing.B) {
 	batch := make([]events.Event, 256)

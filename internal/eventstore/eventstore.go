@@ -7,9 +7,24 @@
 //
 // The store assigns each event a monotonically increasing sequence number,
 // serves "events since ID" queries for consumer fault recovery, tracks the
-// reported flag, and bounds its size by purging reported events. An
-// optional journal provides durability across process restarts: a log of
-// length-prefixed, CRC32C-checked records whose event batches are the
+// reported flag, and bounds its size by purging reported events.
+//
+// The retained window is a run of fixed-size segments (segmentEvents
+// events each): appends fill the last segment, so growth never copies
+// retained events, and purging or evicting the oldest events releases
+// whole segments from the front. Since and SinceTime binary-search the
+// window and copy the answer into one exact-size slice.
+//
+// Reported events are always a Seq prefix of the window: MarkReported
+// flags every event at or below a seq, and later events get higher seqs.
+// So the store keeps no per-event flag, only the high-water mark
+// ackedThrough, clamped to the last assigned seq so an ack can never
+// cover an event not yet stored. Purge, the MaxEvents bound,
+// Stats.Reported, journal replay of reported marks and CompactJournal are
+// all operations on that prefix.
+//
+// An optional journal provides durability across process restarts: a log
+// of length-prefixed, CRC32C-checked records whose event batches are the
 // Block wire encoding the aggregation tier already sends, so a batch is
 // encoded once for the wire and the disk (see journal.go for the record
 // layout and the torn-tail versus corruption rule).
@@ -20,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -100,14 +114,12 @@ type Options struct {
 
 // Store is a goroutine-safe reliable event store.
 type Store struct {
-	mu       sync.Mutex
-	opts     Options
-	events   []events.Event // ordered by Seq; not necessarily contiguous after purge
-	reported map[uint64]bool
-	// ackedThrough is the highest seq ever passed to MarkReported: every
-	// retained event at or below it is already flagged, so each ack only
-	// marks the (ackedThrough, seq] suffix instead of rescanning the whole
-	// window (which made steady-state ack cost quadratic).
+	mu   sync.Mutex
+	opts Options
+	win  window // retained events, ordered by Seq; not necessarily contiguous after purge
+	// ackedThrough is the reported high-water mark: every retained event
+	// with Seq <= ackedThrough is reported, and no other is. It never
+	// exceeds the last assigned seq.
 	ackedThrough uint64
 	nextSeq      uint64
 	journal      *os.File
@@ -142,7 +154,7 @@ func (o *Options) normalize() {
 // New creates a store with the given options.
 func New(opts Options) (*Store, error) {
 	opts.normalize()
-	s := &Store{opts: opts, reported: make(map[uint64]bool), nextSeq: opts.seqOffset + opts.seqStride}
+	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
 	if opts.JournalPath != "" {
 		f, err := os.OpenFile(opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -171,7 +183,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	opts.normalize()
-	s := &Store{opts: opts, reported: make(map[uint64]bool), nextSeq: opts.seqOffset + opts.seqStride}
+	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
 	good, torn, err := s.replayJournal(f, opts.JournalPath)
 	f.Close()
 	if err != nil {
@@ -203,12 +215,15 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
-	if err := s.journalEventsLocked([]events.Event{e}); err != nil {
-		s.mu.Unlock()
-		return 0, err
+	// Without a journal, skip building the one-event slice.
+	if s.jw != nil {
+		if err := s.journalEventsLocked([]events.Event{e}); err != nil {
+			s.mu.Unlock()
+			return 0, err
+		}
 	}
 	s.nextSeq += s.opts.seqStride
-	s.events = append(s.events, e)
+	s.win.push(e)
 	s.appended++
 	s.tel.auditAppend(e.Seq, 1, s.opts.seqStride)
 	groupFlush := s.maybeFlushLocked(1)
@@ -247,7 +262,7 @@ func (s *Store) AppendBatch(evs []events.Event) (uint64, error) {
 		return 0, err
 	}
 	s.nextSeq = seq
-	s.events = append(s.events, evs...)
+	s.win.pushAll(evs)
 	s.appended += uint64(len(evs))
 	groupFlush := s.maybeFlushLocked(len(evs))
 	s.enforceBoundLocked()
@@ -264,7 +279,8 @@ func (s *Store) AppendBatch(evs []events.Event) (uint64, error) {
 // acquisition, assigning sequence numbers directly into the block's seq
 // column, and returns the last one. This is the zero-copy form of
 // AppendBatch: the block's arena is interned once (one string allocation
-// for the whole batch — materialized events share its backing), and the
+// for the whole batch — the events materialized straight into the
+// window's segments share its backing), and the
 // journal record's body is the block's cached wire image after sequence
 // assignment — the bytes a later republish sends — so the batch is not
 // encoded again for the disk.
@@ -287,7 +303,7 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 		s.nextSeq += s.opts.seqStride
 	}
 	last := s.nextSeq - s.opts.seqStride
-	s.events = blk.AppendEventsTo(s.events)
+	s.win.pushBlock(blk)
 	s.appended += uint64(n)
 	s.journalBlockLocked(blk)
 	s.tel.auditAppend(last, n, s.opts.seqStride)
@@ -379,10 +395,10 @@ func (s *Store) Since(seq uint64, max int) ([]events.Event, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// events is ordered by Seq (append assigns increasing seqs and purge
-	// preserves relative order), so binary search for the first entry
-	// past the cursor instead of scanning the whole retained window.
-	i := sort.Search(len(s.events), func(i int) bool { return s.events[i].Seq > seq })
+	// The window is ordered by Seq (append assigns increasing seqs and
+	// purge preserves relative order), so binary search for the first
+	// entry past the cursor instead of scanning the whole window.
+	i := s.win.search(func(e *events.Event) bool { return e.Seq > seq })
 	return s.copyFromLocked(i, max), nil
 }
 
@@ -395,53 +411,53 @@ func (s *Store) SinceTime(t time.Time, max int) ([]events.Event, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	i := sort.Search(len(s.events), func(i int) bool { return !s.events[i].Time.Before(t) })
+	i := s.win.search(func(e *events.Event) bool { return !e.Time.Before(t) })
 	return s.copyFromLocked(i, max), nil
 }
 
 // copyFromLocked copies up to max events starting at index i (max <= 0 = all).
 func (s *Store) copyFromLocked(i, max int) []events.Event {
-	n := len(s.events) - i
+	n := s.win.n - i
 	if n <= 0 {
 		return nil
 	}
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]events.Event, n)
-	copy(out, s.events[i:i+n])
-	return out
+	return s.win.copyOut(i, n)
 }
 
 // MarkReported flags every stored event with Seq <= seq as reported
 // ("Once events have been retrieved from FSMonitor, they are flagged as
-// having been reported and can be removed from the database").
+// having been reported and can be removed from the database"). A seq
+// past the last assigned one flags everything stored so far and nothing
+// stored later.
 func (s *Store) MarkReported(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.markReportedLocked(seq)
-	if s.jw != nil {
-		s.writeFrameLocked(appendSeqFrame(s.scratch[:0], kindReported, seq))
+	if s.markReportedLocked(seq) && s.jw != nil {
+		s.writeFrameLocked(appendSeqFrame(s.scratch[:0], kindReported, s.ackedThrough))
 	}
 	return nil
 }
 
-// markReportedLocked flags events with Seq <= seq. Events are kept sorted
-// by Seq and seqs below ackedThrough are flagged already (or purged), so
-// only the newly covered range is touched.
-func (s *Store) markReportedLocked(seq uint64) {
+// markReportedLocked raises the reported mark to seq, clamped to the last
+// assigned seq, and reports whether it moved.
+func (s *Store) markReportedLocked(seq uint64) bool {
+	seq = min(seq, s.lastSeqLocked())
 	if seq <= s.ackedThrough {
-		return
-	}
-	lo := sort.Search(len(s.events), func(i int) bool { return s.events[i].Seq > s.ackedThrough })
-	hi := sort.Search(len(s.events), func(i int) bool { return s.events[i].Seq > seq })
-	for _, e := range s.events[lo:hi] {
-		s.reported[e.Seq] = true
+		return false
 	}
 	s.ackedThrough = seq
+	return true
+}
+
+// reportedLocked returns the length of the window's reported prefix.
+func (s *Store) reportedLocked() int {
+	return s.win.search(func(e *events.Event) bool { return e.Seq > s.ackedThrough })
 }
 
 // Purge removes reported events (the "next data purge cycle" of §IV-2),
@@ -452,76 +468,24 @@ func (s *Store) Purge() (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	kept := s.events[:0]
-	removed := 0
-	for _, e := range s.events {
-		if s.reported[e.Seq] {
-			delete(s.reported, e.Seq)
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.events = kept
+	removed := s.reportedLocked()
+	s.win.dropFront(removed)
 	s.purged += uint64(removed)
 	return removed, nil
 }
 
-// enforceBoundLocked drops oldest events past MaxEvents, reported first.
+// enforceBoundLocked drops the oldest events past MaxEvents. Reported
+// events are the oldest, so they go first (counted as purged); any
+// further excess is unreported and counted as evicted.
 func (s *Store) enforceBoundLocked() {
-	if s.opts.MaxEvents <= 0 || len(s.events) <= s.opts.MaxEvents {
+	if s.opts.MaxEvents <= 0 || s.win.n <= s.opts.MaxEvents {
 		return
 	}
-	over := len(s.events) - s.opts.MaxEvents
-	// Fast path: nothing is reported at all — the steady state of a
-	// consumer-less bounded store — so every discard is an eviction and
-	// the window slides forward without touching the retained events.
-	// The vacated front is reclaimed when append next grows the slice.
-	if len(s.reported) == 0 {
-		s.events = s.events[over:]
-		s.evicted += uint64(over)
-		return
-	}
-	// Fast path: the oldest `over` events are all reported — the steady
-	// state under AutoAck — so slide the window forward instead of
-	// compacting it (which re-copied the whole retained window per
-	// append batch). The vacated front is reclaimed when append next
-	// grows the slice.
-	allReported := true
-	for _, e := range s.events[:over] {
-		if !s.reported[e.Seq] {
-			allReported = false
-			break
-		}
-	}
-	if allReported {
-		for _, e := range s.events[:over] {
-			delete(s.reported, e.Seq)
-		}
-		s.events = s.events[over:]
-		s.purged += uint64(over)
-		return
-	}
-	// First pass: drop oldest reported.
-	kept := s.events[:0]
-	for _, e := range s.events {
-		if over > 0 && s.reported[e.Seq] {
-			delete(s.reported, e.Seq)
-			over--
-			s.purged++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.events = kept
-	// Second pass: still over (nothing reported) — evict oldest.
-	if over > 0 {
-		for _, e := range s.events[:over] {
-			delete(s.reported, e.Seq)
-		}
-		s.events = append(s.events[:0], s.events[over:]...)
-		s.evicted += uint64(over)
-	}
+	over := s.win.n - s.opts.MaxEvents
+	reported := min(over, s.reportedLocked())
+	s.win.dropFront(over)
+	s.purged += uint64(reported)
+	s.evicted += uint64(over - reported)
 }
 
 // Stats is a snapshot of store counters.
@@ -542,7 +506,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Retained: len(s.events), Reported: len(s.reported),
+		Retained: s.win.n, Reported: s.reportedLocked(),
 		Appended: s.appended, Purged: s.purged, Evicted: s.evicted, NextSeq: s.nextSeq,
 		TornTails: s.tornTails,
 	}
@@ -552,7 +516,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events)
+	return s.win.n
 }
 
 // LastSeq returns the highest assigned sequence number (0 = none yet).
@@ -589,13 +553,18 @@ func (s *Store) CompactJournal() error {
 	}
 	w := bufio.NewWriter(f)
 	var maxReported uint64
-	for _, e := range s.events {
-		if s.reported[e.Seq] && e.Seq > maxReported {
-			maxReported = e.Seq
-		}
+	if r := s.reportedLocked(); r > 0 {
+		maxReported = s.win.at(r - 1).Seq
 	}
-	for start := 0; start < len(s.events); start += compactFrameEvents {
-		frame, err := appendEventsFrame(s.scratch[:0], s.events[start:min(start+compactFrameEvents, len(s.events))])
+	// Frames hold compactFrameEvents events each wherever the segment
+	// boundaries fall, gathered through one reused buffer.
+	chunk := make([]events.Event, 0, min(s.win.n, compactFrameEvents))
+	for start := 0; start < s.win.n; start += compactFrameEvents {
+		chunk = chunk[:0]
+		s.win.runs(start, min(start+compactFrameEvents, s.win.n), func(run []events.Event) {
+			chunk = append(chunk, run...)
+		})
+		frame, err := appendEventsFrame(s.scratch[:0], chunk)
 		if err != nil {
 			f.Close()
 			os.Remove(tmp)
@@ -612,7 +581,7 @@ func (s *Store) CompactJournal() error {
 	// The retained events carry their seqs; when none carries the last
 	// assigned one (everything was purged), record the lane position so
 	// the reopened store does not reissue it.
-	if last := s.lastSeqLocked(); last > 0 && (len(s.events) == 0 || s.events[len(s.events)-1].Seq != last) {
+	if last := s.lastSeqLocked(); last > 0 && (s.win.n == 0 || s.win.at(s.win.n-1).Seq != last) {
 		frame := appendSeqFrame(s.scratch[:0], kindLane, last)
 		w.Write(frame)
 		s.scratch = frame[:0]

@@ -224,7 +224,7 @@ func (s *Store) replayRecord(kind byte, body []byte, blk *events.Block) error {
 				s.nextSeq = seq + s.opts.seqStride
 			}
 		}
-		s.events = blk.AppendEventsTo(s.events)
+		s.win.pushBlock(blk)
 		s.appended += uint64(blk.Len())
 	default:
 		if len(body) != 8 {

@@ -152,53 +152,82 @@ func (i *Interface) Subscribe(filter Filter, sinceSeq uint64) (*Subscription, er
 }
 
 // Ingest stores a processed batch and delivers it to subscribers. It is
-// called by the core with the resolution layer's output.
+// called by the core with the resolution layer's output and does not
+// retain batch.
+//
+// The batch is copied once and stored with one AppendBatch, which stamps
+// the seqs into the copy and keeps its own. The copy is then private, so
+// it goes as is to one subscriber whose filter passes every event; every
+// other subscriber gets a filtered copy taken before that hand-off.
+// Delivery runs under the subscriber lock (its sends never block), so a
+// subscription closing concurrently is never sent to.
 func (i *Interface) Ingest(batch []events.Event) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	stored := make([]events.Event, 0, len(batch))
-	for _, e := range batch {
-		seq, err := i.store.Append(e)
-		if err != nil {
-			return err
-		}
-		e.Seq = seq
-		stored = append(stored, e)
-		i.lastSeq.Store(seq)
+	stored := append([]events.Event(nil), batch...)
+	last, err := i.store.AppendBatch(stored)
+	if err != nil {
+		return err
 	}
+	i.lastSeq.Store(last)
 	i.mu.Lock()
-	subs := make([]*Subscription, 0, len(i.subs))
+	var whole *Subscription
 	for s := range i.subs {
-		subs = append(subs, s)
+		filtered := s.filter.selectFrom(stored)
+		if len(filtered) == len(stored) {
+			if whole == nil {
+				whole = s
+				continue
+			}
+			filtered = append([]events.Event(nil), stored...)
+		}
+		i.offer(s, filtered)
+	}
+	if whole != nil {
+		i.offer(whole, stored)
 	}
 	i.mu.Unlock()
-	for _, s := range subs {
-		var filtered []events.Event
-		for _, e := range stored {
-			if s.filter.Match(e) {
-				filtered = append(filtered, e)
-			}
-		}
-		if len(filtered) == 0 {
-			continue
-		}
-		select {
-		case s.ch <- filtered:
-			i.delivered.Add(uint64(len(filtered)))
-		default:
-			// A stalled consumer loses the batch from its live feed
-			// but can recover it from the store via Since.
-			s.dropped.Add(1)
-		}
-	}
 	if i.opts.AutoAck {
-		if err := i.store.MarkReported(i.lastSeq.Load()); err != nil {
+		if err := i.store.MarkReported(last); err != nil {
 			return err
 		}
-		i.reported.Store(i.lastSeq.Load())
+		i.reported.Store(last)
 	}
 	return nil
+}
+
+// selectFrom returns the events of evs the filter passes: evs itself when
+// it passes all of them, else a new slice.
+func (f Filter) selectFrom(evs []events.Event) []events.Event {
+	for j := range evs {
+		if f.Match(evs[j]) {
+			continue
+		}
+		out := append([]events.Event(nil), evs[:j]...)
+		for _, e := range evs[j+1:] {
+			if f.Match(e) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	return evs
+}
+
+// offer delivers a non-empty batch to s without blocking.
+func (i *Interface) offer(s *Subscription, batch []events.Event) {
+	if len(batch) == 0 {
+		return
+	}
+	select {
+	case s.ch <- batch:
+		i.delivered.Add(uint64(len(batch)))
+	default:
+		// A stalled consumer loses the batch from its live feed
+		// but can recover it from the store via Since.
+		s.dropped.Add(1)
+	}
 }
 
 // Since returns events after seq from the reliable store (max <= 0 = all).

@@ -242,3 +242,107 @@ func TestFilterPropertiesQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIngestHandsOffPrivateBatches checks the delivery hand-off: each
+// subscriber owns the slice it receives (one all-passing subscriber gets
+// the stored copy itself, the rest their own copies), and none of them
+// aliases the caller's batch or the store.
+func TestIngestHandsOffPrivateBatches(t *testing.T) {
+	i := newIface(t, Options{AutoAck: true})
+	all1, _ := i.Subscribe(Filter{Recursive: true}, 0)
+	all2, _ := i.Subscribe(Filter{Recursive: true}, 0)
+	top, _ := i.Subscribe(Filter{}, 0)
+	batch := []events.Event{ev("/a", events.OpCreate), ev("/d/b", events.OpCreate), ev("/c", events.OpModify)}
+	if err := i.Ingest(batch); err != nil {
+		t.Fatal(err)
+	}
+	b1, b2, bt := recvBatch(t, all1), recvBatch(t, all2), recvBatch(t, top)
+	if len(b1) != 3 || len(b2) != 3 || len(bt) != 2 {
+		t.Fatalf("batch sizes %d/%d/%d, want 3/3/2", len(b1), len(b2), len(bt))
+	}
+	if &b1[0] == &b2[0] || &b1[0] == &batch[0] || &b2[0] == &batch[0] || &bt[0] == &batch[0] {
+		t.Fatal("subscribers share a backing array with each other or the caller")
+	}
+	for j, e := range b1 {
+		if e.Seq != uint64(j+1) || b2[j].Seq != e.Seq {
+			t.Errorf("event %d seqs %d/%d, want %d", j, e.Seq, b2[j].Seq, j+1)
+		}
+	}
+	if batch[0].Seq != 0 {
+		t.Errorf("caller's batch was stamped (seq %d)", batch[0].Seq)
+	}
+	// A subscriber scribbling on its batch changes nobody else's view.
+	b1[0].Path, b2[0].Path = "/x", "/y"
+	if bt[0].Path != "/a" {
+		t.Errorf("filtered subscriber sees %q", bt[0].Path)
+	}
+	if h, _ := i.Since(0, 0); len(h) != 3 || h[0].Path != "/a" {
+		t.Errorf("store history = %v", h)
+	}
+	if st := i.Stats(); st.Delivered != 8 || st.Store.Reported != 3 {
+		t.Errorf("stats = %+v, want Delivered 8, Store.Reported 3", st)
+	}
+}
+
+// BenchmarkIngest measures the interface layer's per-batch cost: one
+// AppendBatch into the store, delivery to one recursive subscriber, and
+// the auto-ack, over 256-event batches (the resolution layer's default).
+func BenchmarkIngest(b *testing.B) {
+	store, err := eventstore.New(eventstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	i, err := New(Options{Store: store, AutoAck: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer i.Close()
+	sub, err := i.Subscribe(Filter{Recursive: true}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]events.Event, 256)
+	for j := range batch {
+		batch[j] = ev("/d/f", events.OpModify)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := i.Ingest(batch); err != nil {
+			b.Fatal(err)
+		}
+		<-sub.C()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/ev")
+}
+
+// TestIngestRacesSubscriptionClose closes subscriptions while batches are
+// being delivered: a subscription must never be sent to once its channel
+// is closed.
+func TestIngestRacesSubscriptionClose(t *testing.T) {
+	i := newIface(t, Options{AutoAck: true})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batch := []events.Event{ev("/a", events.OpCreate)}
+		for n := 0; n < 2000; n++ {
+			if err := i.Ingest(batch); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		s, err := i.Subscribe(Filter{Recursive: true}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+}

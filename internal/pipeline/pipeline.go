@@ -334,6 +334,26 @@ func Expand[In, Out any](p *Pipeline, name string, buf int, in Flow[In], fn func
 // batch is flushed before the output closes — accepted items are never
 // dropped by a graceful shutdown.
 func Batch[T any](p *Pipeline, name string, buf int, in Flow[T], size int, interval time.Duration, pool *SlicePool[T]) Flow[[]T] {
+	return batchStage(p, name, buf, in.ch, nil, size, interval, pool, nil)
+}
+
+// BatchFrom is Batch as a source stage over an external channel: it
+// batches straight off src, so the channel operation per item is the only
+// per-item hop and downstream stages move whole batches. Like From it
+// stops reading src at Stop (flushing its partial batch first) as well as
+// when src closes. sealed, when non-nil, sees each batch just before it
+// is queued — the hook for accounting the queue in items rather than
+// batches.
+func BatchFrom[T any](p *Pipeline, name string, buf int, src <-chan T, size int, interval time.Duration, pool *SlicePool[T], sealed func([]T)) Flow[[]T] {
+	return batchStage(p, name, buf, src, p.soft.Done(), size, interval, pool, sealed)
+}
+
+// batchStage is the size-or-age batching loop behind Batch and BatchFrom.
+// stop (nil for a transform stage) ends the stage early with a flush.
+// After each blocking receive the loop takes whatever else is already
+// queued with non-blocking receives, so a busy input costs one select per
+// burst rather than one per item.
+func batchStage[T any](p *Pipeline, name string, buf int, in <-chan T, stop <-chan struct{}, size int, interval time.Duration, pool *SlicePool[T], sealed func([]T)) Flow[[]T] {
 	if size <= 0 {
 		size = DefaultLocalBatch
 	}
@@ -360,6 +380,9 @@ func Batch[T any](p *Pipeline, name string, buf int, in Flow[T], size int, inter
 			}
 			out := batch
 			batch = next()
+			if sealed != nil {
+				sealed(out)
+			}
 			return send(p, st, ch, out)
 		}
 		for {
@@ -370,18 +393,37 @@ func Batch[T any](p *Pipeline, name string, buf int, in Flow[T], size int, inter
 			select {
 			case <-p.hard.Done():
 				return
+			case <-stop:
+				flush()
+				return
 			case <-timer.C:
 				timerLive = false
 				if !flush() {
 					return
 				}
-			case v, ok := <-in.ch:
+			case v, ok := <-in:
 				if !ok {
 					flush()
 					return
 				}
-				st.in.Add(1)
 				batch = append(batch, v)
+				n := uint64(1)
+			burst:
+				for len(batch) < size {
+					select {
+					case v, ok = <-in:
+						if !ok {
+							st.in.Add(n)
+							flush()
+							return
+						}
+						batch = append(batch, v)
+						n++
+					default:
+						break burst
+					}
+				}
+				st.in.Add(n)
 				if len(batch) >= size {
 					if timerLive && !timer.Stop() {
 						<-timer.C

@@ -6,15 +6,19 @@
 // representations." It also provides the layer's performance
 // optimizations: batching and caching.
 //
-// The processor is a composition of internal/pipeline stages:
+// The processor is two internal/pipeline stages that move whole batches:
 //
-//	intake → normalize → pair-renames → [dedupe] → batch
+//	intake(batch) → resolve
 //
-// intake is the paper's processing queue (bounded, backpressuring the
-// DSI); normalize resolves paths against the watch root; pair-renames
-// fills MOVED_TO events' OldPath from the matching MOVED_FROM by cookie;
-// dedupe (optional) suppresses consecutive duplicate events; batch emits
-// count- and latency-bounded slices recycled through a pool.
+// intake is the paper's processing queue: it batches straight off the DSI
+// channel by size or age and queues at most QueueSize events
+// (backpressuring the DSI when full). resolve takes one pooled batch per
+// channel operation and, in place, normalizes paths against the watch
+// root, fills MOVED_TO events' OldPath from the matching MOVED_FROM by
+// cookie, and (optionally) suppresses consecutive duplicate events. The
+// rename cache and the dedupe predecessor carry across batches, so a
+// rename pair or a duplicate run split by a batch boundary is handled as
+// if the stream were one batch.
 package resolution
 
 import (
@@ -83,13 +87,21 @@ type Stats struct {
 type Processor struct {
 	opts    Options
 	pipe    *pipeline.Pipeline
-	queue   pipeline.Flow[events.Event]
 	out     pipeline.Flow[[]events.Event]
 	pool    *pipeline.SlicePool[events.Event]
 	renames *lru.Cache[uint32, string]
 
-	paired, deduped atomic.Uint64
-	closeOnce       sync.Once
+	// prev/havePrev is the dedupe predecessor; only the resolve stage's
+	// goroutine touches it.
+	prev     events.Event
+	havePrev bool
+
+	// queued counts events batched by intake and not yet taken by
+	// resolve (the processing-queue backlog); queuePeak is its
+	// high-water mark.
+	queued, queuePeak          atomic.Int64
+	processed, paired, deduped atomic.Uint64
+	closeOnce                  sync.Once
 }
 
 // New starts a processor over src. The processor stops when src closes or
@@ -122,59 +134,80 @@ func newWith(ctx context.Context, src <-chan events.Event, opts Options) *Proces
 		pool:    pipeline.NewSlicePool[events.Event](opts.BatchSize, 0),
 		renames: lru.New[uint32, string](opts.RenameCacheSize),
 	}
-
-	p.queue = pipeline.From(p.pipe, "intake", opts.QueueSize, src)
-	stream := pipeline.Map(p.pipe, "normalize", pipeline.DefaultStageBuffer, p.queue,
-		func(_ context.Context, e events.Event) (events.Event, bool) {
-			return events.Normalize(e), true
-		})
-	if opts.PairRenames {
-		stream = pipeline.Map(p.pipe, "pair-renames", pipeline.DefaultStageBuffer, stream, p.pairRename)
-	}
-	if opts.Dedupe {
-		stream = pipeline.Map(p.pipe, "dedupe", pipeline.DefaultStageBuffer, stream, p.newDeduper())
-	}
-	p.out = pipeline.Batch(p.pipe, "batch", pipeline.DefaultBatchDepth, stream,
-		opts.BatchSize, opts.BatchInterval, p.pool)
+	// The queue holds whole batches; sizing it in batches of BatchSize
+	// keeps its bound at QueueSize events.
+	depth := max(1, opts.QueueSize/opts.BatchSize)
+	queue := pipeline.BatchFrom(p.pipe, "intake", depth, src, opts.BatchSize, opts.BatchInterval, p.pool, p.enqueued)
+	p.out = pipeline.Map(p.pipe, "resolve", pipeline.DefaultBatchDepth, queue, p.resolve)
 	return p
 }
 
-// pairRename resolves rename pairs by cookie (the pair-renames stage).
-func (p *Processor) pairRename(_ context.Context, e events.Event) (events.Event, bool) {
+// enqueued accounts a batch intake is about to queue.
+func (p *Processor) enqueued(b []events.Event) {
+	if d := p.queued.Add(int64(len(b))); d > p.queuePeak.Load() {
+		p.queuePeak.Store(d)
+	}
+}
+
+// resolve is the resolve stage: it normalizes, pairs renames and dedupes
+// one batch in place, compacting kept events to its front. A batch left
+// empty by dedupe goes back to the pool instead of downstream.
+func (p *Processor) resolve(_ context.Context, b []events.Event) ([]events.Event, bool) {
+	p.queued.Add(-int64(len(b)))
+	p.processed.Add(uint64(len(b)))
+	var paired, deduped uint64
+	kept := 0
+	for i := range b {
+		e := events.Normalize(b[i])
+		if p.opts.PairRenames && p.pairRename(&e) {
+			paired++
+		}
+		if p.opts.Dedupe {
+			if p.havePrev && e.Op == p.prev.Op && e.Path == p.prev.Path && e.OldPath == p.prev.OldPath && e.Cookie == p.prev.Cookie {
+				deduped++
+				continue
+			}
+			p.prev, p.havePrev = e, true
+		}
+		b[kept] = e
+		kept++
+	}
+	if paired > 0 {
+		p.paired.Add(paired)
+	}
+	if deduped > 0 {
+		p.deduped.Add(deduped)
+		// The pool clears only a slice's length on Put; clear the
+		// vacated tail so it does not pin dropped events' strings.
+		clear(b[kept:])
+	}
+	if kept == 0 {
+		p.pool.Put(b)
+		return nil, false
+	}
+	return b[:kept], true
+}
+
+// pairRename resolves rename pairs by cookie, reporting whether e is a
+// paired MOVED_TO.
+func (p *Processor) pairRename(e *events.Event) bool {
 	if e.Cookie == 0 {
-		return e, true
+		return false
 	}
 	switch {
 	case e.Op.HasAny(events.OpMovedFrom):
 		p.renames.Set(e.Cookie, e.Path)
 	case e.Op.HasAny(events.OpMovedTo):
-		if e.OldPath == "" {
-			if from, ok := p.renames.Get(e.Cookie); ok {
-				e.OldPath = from
-				p.renames.Delete(e.Cookie)
-				p.paired.Add(1)
-			}
-		} else {
-			p.paired.Add(1)
+		if e.OldPath != "" {
+			return true
+		}
+		if from, ok := p.renames.Get(e.Cookie); ok {
+			e.OldPath = from
+			p.renames.Delete(e.Cookie)
+			return true
 		}
 	}
-	return e, true
-}
-
-// newDeduper returns the dedupe stage function: it drops an event that is
-// identical to its immediate predecessor. Single-goroutine stage, so the
-// closure state needs no locking.
-func (p *Processor) newDeduper() func(context.Context, events.Event) (events.Event, bool) {
-	var prev events.Event
-	var have bool
-	return func(_ context.Context, e events.Event) (events.Event, bool) {
-		if have && e.Op == prev.Op && e.Path == prev.Path && e.OldPath == prev.OldPath && e.Cookie == prev.Cookie {
-			p.deduped.Add(1)
-			return e, false
-		}
-		prev, have = e, true
-		return e, true
-	}
+	return false
 }
 
 // Batches returns the output stream of processed event batches. Consumers
@@ -191,17 +224,18 @@ func (p *Processor) Recycle(batch []events.Event) { p.pool.Put(batch) }
 // Stats returns a snapshot of the counters.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		Processed:     p.pipe.StageStats("normalize").Out,
-		Batches:       p.pipe.StageStats("batch").Out,
+		Processed:     p.processed.Load(),
+		Batches:       p.pipe.StageStats("resolve").Out,
 		RenamesPaired: p.paired.Load(),
 		Deduped:       p.deduped.Load(),
-		QueuePeak:     p.pipe.StageStats("intake").QueuePeak,
+		QueuePeak:     int(p.queuePeak.Load()),
 		Stages:        p.pipe.Stats(),
 	}
 }
 
-// QueueDepth reports the current processing-queue backlog.
-func (p *Processor) QueueDepth() int { return p.queue.Depth() }
+// QueueDepth reports the current processing-queue backlog in events:
+// those intake has batched and resolve has not yet taken.
+func (p *Processor) QueueDepth() int { return int(p.queued.Load()) }
 
 // Close stops the processor without waiting for the source to end: the
 // pipeline drains whatever was accepted (bounded by

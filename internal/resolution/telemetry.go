@@ -13,6 +13,6 @@ func (p *Processor) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	}
 	reg.GaugeFunc(prefix+".renames_paired", func() float64 { return float64(p.paired.Load()) })
 	reg.GaugeFunc(prefix+".deduped", func() float64 { return float64(p.deduped.Load()) })
-	reg.GaugeFunc(prefix+".queue_depth", func() float64 { return float64(p.queue.Depth()) })
+	reg.GaugeFunc(prefix+".queue_depth", func() float64 { return float64(p.QueueDepth()) })
 	p.pipe.RegisterTelemetry(reg, prefix+".pipeline")
 }
